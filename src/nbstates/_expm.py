@@ -14,11 +14,12 @@ import math
 
 import numpy as np
 
-from .fock import ConvergenceError
+from .fock import ConvergenceError, TruncationError, tail_mass_nbs
 
 __all__ = [
     "apply_series",
     "expm_apply_skew",
+    "expm_apply_skew_bounded",
     "expm_apply_skew_batch",
     "skew_norm1",
     "taylor_terms",
@@ -69,6 +70,24 @@ def expm_apply_skew(up: np.ndarray, v: np.ndarray, tol: float = 1e-13,
     s = max(1, int(math.ceil(nrm / theta_max)))
     j_terms = taylor_terms(nrm / s, tol / s)
     return expm_apply_skew_batch(up[:, None], v[:, None], s, j_terms)[:, 0]
+
+
+def expm_apply_skew_bounded(up: np.ndarray, v: np.ndarray, eta: float, m: int,
+                            tail_eps: float, what: str) -> tuple[np.ndarray, float]:
+    """exp(G) v on a basis sized for NB(eta, m), with its truncation bound.
+
+    A truncated skew exponential is unitary, so mass that should leave the
+    basis piles up at its top instead.  Past 1e4 * tail_eps in the top two
+    amplitudes this raises TruncationError naming ``what``; otherwise the
+    returned bound is that mass plus the NB(eta, m) tail above the basis.
+    """
+    out = expm_apply_skew(up, v)
+    boundary = float(np.sum(np.abs(out[-2:]) ** 2))
+    if boundary > 1e4 * tail_eps:
+        raise TruncationError(
+            f"truncation too small for {what}: boundary mass {boundary:.3e}"
+        )
+    return out, tail_mass_nbs(eta, m, len(out) - 1) + boundary
 
 
 def expm_apply_skew_batch(up: np.ndarray, V: np.ndarray, s: int,

@@ -21,11 +21,12 @@ Config files hold one `key = value` per line; `#` starts a comment.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
@@ -45,77 +46,111 @@ class CliError(ValueError):
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    command: str
-    eta: float | None = None
-    m: int | None = None
-    chi_t: float | None = None
-    scheme: str = "intensity"
-    steps: int = 9
-    s: float | None = None
-    x_min: float = -6.0
-    x_max: float = 6.0
-    y_min: float = -6.0
-    y_max: float = 6.0
-    nx: int = 201
-    ny: int = 201
-    eta_step: float = 1e-3
-    tail_eps: float = 1e-12
-    fmt: str = "csv"
-    output: str | None = None
+class _Option:
+    """One option of the subcommands, declared once for every source.
+
+    ``key`` is the config-file key and the argparse dest; the flag is
+    ``--`` plus the key with '-' for '_'.  A value from any source that
+    fails ``check``, a (predicate, requirement) pair, is rejected as
+    "<flag without dashes> must <requirement>, got <value>"; ``choices``
+    makes that check.  ``field`` names the RunConfig field: "" for the
+    key itself, None for an option that only shapes others.
+    """
+
+    key: str
+    kind: type
+    default: object = None
+    help: str | None = None
+    check: tuple | None = None
+    choices: tuple | None = None
+    metavar: str | None = None
+    aliases: tuple = ()
+    field: str | None = ""
+
+    def __post_init__(self):
+        if self.field == "":
+            object.__setattr__(self, "field", self.key)
+        if self.choices is not None:
+            need = "be " + " or ".join(map(repr, self.choices))
+            object.__setattr__(self, "check", (self.choices.__contains__, need))
+
+    @property
+    def name(self) -> str:
+        return self.key.replace("_", "-")
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name
 
 
-_DEFAULTS = {
-    "eta": None,
-    "m": None,
-    "chi_t": None,
-    "scheme": None,
-    "steps": None,
-    "s": None,
-    "x_min": None,
-    "x_max": None,
-    "y_min": None,
-    "y_max": None,
-    "nx": None,
-    "ny": None,
-    "range": None,
-    "eta_step": None,
-    "tail_eps": None,
-    "format": None,
-    "output": None,
+_FINITE = (math.isfinite, "be finite")
+_AT_LEAST_TWO = (lambda v: v >= 2, "be >= 2")
+
+# Values are checked in this order; RunConfig fields follow it too.
+_OPTIONS = {opt.key: opt for opt in (
+    _Option("eta", float, help="success parameter, 0 < eta <= 1",
+            check=(lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")),
+    _Option("m", int, help="conditioned photon count, m >= 0",
+            check=(lambda v: v >= 0, "be >= 0")),
+    _Option("chi_t", float, help="largest dimensionless interaction time, > 0",
+            check=(lambda v: math.isfinite(v) and v > 0.0, "be a finite positive time")),
+    _Option("scheme", str, "intensity", "evolution scheme (default intensity)",
+            choices=("intensity", "parametric")),
+    _Option("steps", int, 9, "number of time samples (default 9)", _AT_LEAST_TWO),
+    _Option("s", float, help="ordering parameter in [-1, 0]",
+            check=(lambda v: -1.0 <= v <= 0.0, "lie in [-1, 0]")),
+    _Option("x_min", float, -6.0, check=_FINITE),
+    _Option("x_max", float, 6.0, check=_FINITE),
+    _Option("y_min", float, -6.0, check=_FINITE),
+    _Option("y_max", float, 6.0, check=_FINITE),
+    _Option("nx", int, 201, "grid columns (default 201)", _AT_LEAST_TWO),
+    _Option("ny", int, 201, "grid rows (default 201)", _AT_LEAST_TWO),
+    _Option("range", float, help="shortcut for the square window [-R, R] x [-R, R]",
+            check=(lambda v: math.isfinite(v) and v >= 0.0,
+                   "be a finite non-negative half-width"),
+            field=None),
+    _Option("eta_step", float, 1e-3, "eta grid step (default 1e-3)",
+            (lambda v: 0.0 < v <= 0.1, "lie in (0, 0.1]")),
+    _Option("tail_eps", float, 1e-12, "basis truncation tolerance (default 1e-12)",
+            (lambda v: 0.0 < v <= 1e-6, "lie in (0, 1e-6]"), metavar="EPS"),
+    _Option("format", str, "csv", "output format (default csv; stats defaults to json)",
+            choices=("csv", "json"), field="fmt"),
+    _Option("output", str, help="write to FILE instead of stdout", metavar="FILE",
+            aliases=("-o",)),
+)}
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [("command", str)] + [
+        (opt.field, opt.kind, dataclasses.field(default=opt.default))
+        for opt in _OPTIONS.values() if opt.field
+    ],
+    frozen=True,
+    namespace={"__module__": __name__,
+               "__doc__": "A subcommand and the resolved value of each of its options."},
+)
+
+_STATE = ("eta", "m")
+_GRID = ("x_min", "x_max", "y_min", "y_max", "nx", "ny", "range")
+_COMMON = ("config", "tail_eps", "format", "output")
+
+# command: (summary, its options in --help order, the options it requires).
+# An (option, help) pair gives an option another help text in one command.
+_COMMANDS = {
+    "stats": ("photon statistics report for one (eta, m)", _STATE + _COMMON, _STATE),
+    "squeeze-scan": ("quadrature variances over the eta grid",
+                     _COMMON + ("m", "eta_step"), ("m",)),
+    "qfunc": ("Husimi distribution grid", _STATE + _GRID + _COMMON, _STATE),
+    "wigner": ("Wigner distribution grid", _STATE + _GRID + _COMMON, _STATE),
+    "sdist": ("s-ordered distribution grid", _STATE + _GRID + _COMMON + ("s",),
+              _STATE + ("s",)),
+    "evolve": ("fidelity of the evolved state vs interaction time",
+               _COMMON + ("chi_t", "scheme",
+                          ("m", "initial number state for the intensity scheme (default 0)"),
+                          "steps"),
+               ("chi_t",)),
+    "verify": ("run the acceptance checks and report PASS/FAIL", _COMMON, ()),
 }
-
-_KEY_TYPES = {
-    "eta": float,
-    "m": int,
-    "chi_t": float,
-    "scheme": str,
-    "steps": int,
-    "s": float,
-    "x_min": float,
-    "x_max": float,
-    "y_min": float,
-    "y_max": float,
-    "nx": int,
-    "ny": int,
-    "range": float,
-    "eta_step": float,
-    "tail_eps": float,
-    "format": str,
-    "output": str,
-}
-
-_REQUIRED = {
-    "stats": ("eta", "m"),
-    "squeeze-scan": ("m",),
-    "qfunc": ("eta", "m"),
-    "wigner": ("eta", "m"),
-    "sdist": ("eta", "m", "s"),
-    "evolve": ("chi_t",),
-    "verify": (),
-}
-
-_GRID_COMMANDS = ("qfunc", "wigner", "sdist")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,71 +163,31 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="key=value config file")
-    common.add_argument("--tail-eps", type=float, dest="tail_eps", metavar="EPS",
-                        help="basis truncation tolerance (default 1e-12)")
-    common.add_argument("--format", choices=("csv", "json"),
-                        help="output format (default csv; stats defaults to json)")
-    common.add_argument("--output", "-o", metavar="FILE",
-                        help="write to FILE instead of stdout")
-
-    state = argparse.ArgumentParser(add_help=False)
-    state.add_argument("--eta", type=float, help="success parameter, 0 < eta <= 1")
-    state.add_argument("--m", type=int, help="conditioned photon count, m >= 0")
-
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--x-min", type=float, dest="x_min")
-    grid.add_argument("--x-max", type=float, dest="x_max")
-    grid.add_argument("--y-min", type=float, dest="y_min")
-    grid.add_argument("--y-max", type=float, dest="y_max")
-    grid.add_argument("--nx", type=int, help="grid columns (default 201)")
-    grid.add_argument("--ny", type=int, help="grid rows (default 201)")
-    grid.add_argument("--range", type=float, dest="range",
-                      help="shortcut for the square window [-R, R] x [-R, R]")
-
     parser = _Parser(
         prog="nbs",
         description="Negative binomial states: statistics, squeezing, "
         "phase-space grids, and generation dynamics.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    sub.add_parser("stats", parents=[state, common],
-                   help="photon statistics report for one (eta, m)")
-    scan = sub.add_parser("squeeze-scan", parents=[common],
-                          help="quadrature variances over the eta grid")
-    scan.add_argument("--m", type=int, help="conditioned photon count, m >= 0")
-    scan.add_argument("--eta-step", type=float, dest="eta_step",
-                      help="eta grid step (default 1e-3)")
-    sub.add_parser("qfunc", parents=[state, grid, common],
-                   help="Husimi distribution grid")
-    sub.add_parser("wigner", parents=[state, grid, common],
-                   help="Wigner distribution grid")
-    sdist = sub.add_parser("sdist", parents=[state, grid, common],
-                           help="s-ordered distribution grid")
-    sdist.add_argument("--s", type=float, help="ordering parameter in [-1, 0]")
-    ev = sub.add_parser("evolve", parents=[common],
-                        help="fidelity of the evolved state vs interaction time")
-    ev.add_argument("--chi-t", type=float, dest="chi_t",
-                    help="largest dimensionless interaction time, > 0")
-    ev.add_argument("--scheme", choices=("intensity", "parametric"),
-                    help="evolution scheme (default intensity)")
-    ev.add_argument("--m", type=int,
-                    help="initial number state for the intensity scheme (default 0)")
-    ev.add_argument("--steps", type=int, help="number of time samples (default 9)")
-    sub.add_parser("verify", parents=[common],
-                   help="run the acceptance checks and report PASS/FAIL")
+    for command, (summary, keys, _) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=summary)
+        for key in keys:
+            key, help_text = key if isinstance(key, tuple) else (key, None)
+            if key == "config":
+                cmd.add_argument("--config", metavar="FILE", help="key=value config file")
+                continue
+            opt = _OPTIONS[key]
+            cmd.add_argument(opt.flag, *opt.aliases, type=opt.kind, choices=opt.choices,
+                             metavar=opt.metavar, help=help_text or opt.help)
     return parser
 
 
-def _convert(key: str, raw: str, source: str):
-    kind = _KEY_TYPES[key]
+def _convert(opt: _Option, raw: str, source: str):
     try:
-        return kind(raw)
+        return opt.kind(raw)
     except ValueError:
         raise CliError(
-            f"{source}: cannot parse {key!r} value {raw!r} as {kind.__name__}"
+            f"{source}: cannot parse {opt.key!r} value {raw!r} as {opt.kind.__name__}"
         ) from None
 
 
@@ -211,101 +206,51 @@ def _read_config_file(path: str) -> dict:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, raw = line.split("=", 1)
         key = key.strip().replace("-", "_")
-        if key not in _KEY_TYPES:
+        if key not in _OPTIONS:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = _convert(key, raw.strip(), f"{path}:{lineno}")
+        out[key] = _convert(_OPTIONS[key], raw.strip(), f"{path}:{lineno}")
     return out
 
 
-def _fail(name: str, value, requirement: str):
-    raise CliError(f"{name} must {requirement}, got {value}")
-
-
-def _validate(cmd: str, cfg: dict):
-    for key in _REQUIRED[cmd]:
+def _resolve(cmd: str, given: dict) -> dict:
+    """Fill defaults under the given values, check them, apply --range."""
+    cfg = {key: given.get(key, opt.default) for key, opt in _OPTIONS.items()}
+    for key in _COMMANDS[cmd][2]:
         if cfg[key] is None:
-            raise CliError(f"{cmd} requires --{key.replace('_', '-')}")
-    eta, m = cfg["eta"], cfg["m"]
-    if eta is not None and not (math.isfinite(eta) and 0.0 < eta <= 1.0):
-        _fail("eta", eta, "lie in (0, 1]")
-    if m is not None and m < 0:
-        _fail("m", m, "be >= 0")
-    if cfg["s"] is not None and not -1.0 <= cfg["s"] <= 0.0:
-        _fail("s", cfg["s"], "lie in [-1, 0]")
-    if cfg["chi_t"] is not None and not (
-        math.isfinite(cfg["chi_t"]) and cfg["chi_t"] > 0.0
-    ):
-        _fail("chi-t", cfg["chi_t"], "be a finite positive time")
-    if cfg["steps"] is not None and cfg["steps"] < 2:
-        _fail("steps", cfg["steps"], "be >= 2")
-    if cfg["scheme"] is not None and cfg["scheme"] not in ("intensity", "parametric"):
-        _fail("scheme", cfg["scheme"], "be 'intensity' or 'parametric'")
-    if cmd == "evolve" and cfg["scheme"] == "parametric" and m is not None:
+            raise CliError(f"{cmd} requires {_OPTIONS[key].flag}")
+    for key, opt in _OPTIONS.items():
+        value = cfg[key]
+        if value is not None and opt.check is not None and not opt.check[0](value):
+            raise CliError(f"{opt.name} must {opt.check[1]}, got {value}")
+    if cmd == "evolve" and cfg["scheme"] == "parametric" and cfg["m"] is not None:
         raise CliError("the parametric scheme is seeded by vacuum; --m does not apply")
-    if not 0.0 < cfg["tail_eps"] <= 1e-6:
-        _fail("tail-eps", cfg["tail_eps"], "lie in (0, 1e-6]")
-    if cfg["eta_step"] is not None and not 0.0 < cfg["eta_step"] <= 0.1:
-        _fail("eta-step", cfg["eta_step"], "lie in (0, 0.1]")
-    if cfg["range"] is not None and not (
-        math.isfinite(cfg["range"]) and cfg["range"] >= 0.0
-    ):
-        _fail("range", cfg["range"], "be a finite non-negative half-width")
-    for key in ("nx", "ny"):
-        if cfg[key] is not None and cfg[key] < 2:
-            _fail(key, cfg[key], "be >= 2")
+    r = cfg["range"]
+    if r is not None:
+        cfg.update(x_min=-r, x_max=r, y_min=-r, y_max=r)
     if cfg["x_max"] < cfg["x_min"] or cfg["y_max"] < cfg["y_min"]:
         raise CliError(
             "grid bounds must satisfy x-max >= x-min and y-max >= y-min, got "
             f"[{cfg['x_min']}, {cfg['x_max']}] x [{cfg['y_min']}, {cfg['y_max']}]"
         )
+    return cfg
 
 
 def parse_config(argv) -> RunConfig:
     """Merge flags, config file, environment, and defaults into a RunConfig."""
     ns = _build_parser().parse_args(list(argv))
-    cfg = dict(_DEFAULTS)
-
+    given = {}
     env = os.environ.get("NBS_TAIL_EPS")
     if env is not None:
-        cfg["tail_eps"] = _convert("tail_eps", env, "environment NBS_TAIL_EPS")
+        given["tail_eps"] = _convert(_OPTIONS["tail_eps"], env, "environment NBS_TAIL_EPS")
     if ns.config is not None:
-        cfg.update(_read_config_file(ns.config))
-    for key in _KEY_TYPES:
-        flag = getattr(ns, key, None)
-        if flag is not None:
-            cfg[key] = flag
-
-    if cfg["range"] is not None and cfg["range"] >= 0.0:
-        r = cfg["range"]
-        cfg.update(x_min=-r, x_max=r, y_min=-r, y_max=r)
-    # fill residual defaults before validation so bounds are always comparable
-    fill = {
-        "scheme": "intensity", "steps": 9, "x_min": -6.0, "x_max": 6.0,
-        "y_min": -6.0, "y_max": 6.0, "nx": 201, "ny": 201,
-        "eta_step": 1e-3, "tail_eps": 1e-12,
-    }
-    filled = {k: (cfg[k] if cfg[k] is not None else fill.get(k)) for k in cfg}
-    _validate(ns.command, {**cfg, **{k: filled[k] for k in fill}})
-
+        given.update(_read_config_file(ns.config))
+    given.update((k, v) for k, v in vars(ns).items() if k in _OPTIONS and v is not None)
+    if ns.command == "stats":
+        given.setdefault("format", "json")
+    cfg = _resolve(ns.command, given)
     return RunConfig(
         command=ns.command,
-        eta=filled["eta"],
-        m=filled["m"],
-        chi_t=filled["chi_t"],
-        scheme=filled["scheme"],
-        steps=filled["steps"],
-        s=filled["s"],
-        x_min=filled["x_min"],
-        x_max=filled["x_max"],
-        y_min=filled["y_min"],
-        y_max=filled["y_max"],
-        nx=filled["nx"],
-        ny=filled["ny"],
-        eta_step=filled["eta_step"],
-        tail_eps=filled["tail_eps"],
-        fmt=filled["format"]
-        or ("json" if ns.command == "stats" else "csv"),
-        output=filled["output"],
+        **{opt.field: cfg[key] for key, opt in _OPTIONS.items() if opt.field},
     )
 
 

@@ -22,15 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._expm import expm_apply_skew
-from .fock import (
-    FockVector,
-    TruncationError,
-    TruncationPolicy,
-    inner_product,
-    pad_to,
-    tail_mass_nbs,
-)
+from ._expm import expm_apply_skew_bounded
+from .fock import FockVector, TruncationPolicy, inner_product, pad_to
 from .states import PairBasisVector, choose_n_max
 from .su11 import su11_displace
 
@@ -80,14 +73,10 @@ def evolve_parametric(
     v0 = np.zeros(n_max + 1, dtype=complex)
     v0[0] = 1.0
     up = chi_t * np.arange(1.0, n_max + 1.0)
-    out = expm_apply_skew(up, v0)
-    boundary = float(np.sum(np.abs(out[-2:]) ** 2))
-    if boundary > 1e4 * policy.tail_eps:
-        raise TruncationError(
-            f"truncation too small for chi_t={chi_t}: boundary mass {boundary:.3e}"
-        )
-    tail = tail_mass_nbs(eta_target, 0, n_max)
-    return PairBasisVector(out, 0, n_max, tail + boundary)
+    out, bound = expm_apply_skew_bounded(
+        up, v0, eta_target, 0, policy.tail_eps, f"chi_t={chi_t}"
+    )
+    return PairBasisVector(out, 0, n_max, bound)
 
 
 def atom_passage(

@@ -122,15 +122,12 @@ def apply_creation(v: FockVector) -> FockVector:
 def apply_diag(v: FockVector, f) -> FockVector:
     """Diagonal operator: (f(N) v)_n = f(n) v_n.
 
-    f may be undefined (raise or return non-finite) off the support of v;
-    it must be finite wherever v has nonzero amplitude.
+    f takes the index array 0..n_max and is evaluated with floating-point
+    warnings off.  It may be non-finite off the support of v; it must be
+    finite wherever v has nonzero amplitude.
     """
-    vals = np.empty(v.n_max + 1)
-    for i in range(v.n_max + 1):
-        try:
-            vals[i] = f(i)
-        except (ValueError, ZeroDivisionError, FloatingPointError):
-            vals[i] = np.nan
+    with np.errstate(all="ignore"):
+        vals = np.asarray(f(np.arange(v.n_max + 1)), dtype=float)
     on_support = np.abs(v.amplitudes) > 0
     bad = ~np.isfinite(vals) & on_support
     if bad.any():
@@ -162,9 +159,10 @@ def tail_mass_nbs(eta: float, m: int, n_max: int) -> float:
     """Probability mass of the negative binomial distribution above n_max.
 
     Computed by a log-domain start, the stable term ratio
-    P(n+1)/P(n) = (n+1)/(n+1-m) * (1-eta), and a geometric closure bound
-    once the ratio settles below 1.  The returned value is an upper bound
-    tight to roundoff.
+    P(n+1)/P(n) = (n+1)/(n+1-m) * (1-eta), and a geometric closure bound.
+    The returned value is an upper bound: tight to roundoff when n_max + 1
+    lies above the mode, and 1 when it lies at or below it, where the
+    terms still grow.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must be in (0, 1], got {eta}")
@@ -175,6 +173,9 @@ def tail_mass_nbs(eta: float, m: int, n_max: int) -> float:
     if n_max < m:
         return 1.0
     n0 = n_max + 1
+    # the ratio never rises with n, so below 1 here means below 1 throughout
+    if (n0 + 1.0) / (n0 + 1.0 - m) * (1.0 - eta) >= 1.0:
+        return 1.0
     logp = (
         math.lgamma(n0 + 1)
         - math.lgamma(m + 1)
@@ -185,18 +186,14 @@ def tail_mass_nbs(eta: float, m: int, n_max: int) -> float:
     p = math.exp(logp)
     acc = 0.0
     n = n0
-    r = 1.0
-    # tightening is capped: distributions whose mean sits far above any
-    # usable n_max would otherwise iterate for ~mean terms
+    # tightening is capped: a ratio just below 1 would otherwise iterate
+    # for very many terms
     for _ in range(50_000):
         acc += p
         r = (n + 1.0) / (n + 1.0 - m) * (1.0 - eta)
-        if r < 1.0:
-            closure = p * r / (1.0 - r)
-            if closure < 1e-16 * acc or closure < 5e-324:
-                return acc + closure
+        closure = p * r / (1.0 - r)
+        if closure < 1e-16 * acc or closure < 5e-324:
+            return acc + closure
         p *= r
         n += 1
-    if r < 1.0:
-        return min(1.0, acc + p * r / (1.0 - r))
-    return 1.0
+    return min(1.0, acc + p * r / (1.0 - r))

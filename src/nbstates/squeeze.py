@@ -22,6 +22,7 @@ import numpy as np
 
 from .fock import FockVector, TruncationPolicy
 from .states import choose_n_max
+from .stats import find_sign_change
 
 __all__ = [
     "SCAN_POLICY",
@@ -282,21 +283,7 @@ def refine_region_edge(
         s = variances_at(eta, m, policy)
         return (s.var_x if kind == "x" else s.var_y) - 0.25
 
-    lo, hi = eta_lo, eta_hi
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise ValueError(f"no variance crossing bracketed in [{eta_lo}, {eta_hi}]")
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    try:
+        return find_sign_change(f, eta_lo, eta_hi, xtol)
+    except ValueError as exc:
+        raise ValueError(f"var_{kind} crossing of 1/4: {exc}") from None

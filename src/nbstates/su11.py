@@ -16,15 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._expm import apply_series, expm_apply_skew
+from ._expm import apply_series, expm_apply_skew_bounded
 from .fock import (
     FockVector,
-    TruncationError,
     TruncationPolicy,
     apply_annihilation,
     apply_creation,
     apply_diag,
-    tail_mass_nbs,
 )
 from .states import NBSParams, choose_n_max, nbs, sharpened
 
@@ -54,13 +52,13 @@ def k_plus(v: FockVector, m: int) -> FockVector:
     """K+ v = sqrt(N - m) a† v; requires support on n >= m."""
     _check_subspace(v, m)
     w = apply_creation(v)
-    return apply_diag(w, lambda n: math.sqrt(n - m))
+    return apply_diag(w, lambda n: np.sqrt(n - m))
 
 
 def k_minus(v: FockVector, m: int) -> FockVector:
     """K- v = a sqrt(N - m) v; requires support on n >= m."""
     _check_subspace(v, m)
-    w = apply_diag(v, lambda n: math.sqrt(n - m) if n >= m else 0.0)
+    w = apply_diag(v, lambda n: np.sqrt(np.maximum(n - m, 0)))
     return apply_annihilation(w)
 
 
@@ -107,7 +105,7 @@ def ladder_residual(
     """Norm of (N - sqrt(1-eta) K+ - m) applied to the state nbs(eta, m)."""
     policy = policy or TruncationPolicy()
     v = nbs(NBSParams(eta, m), sharpened(policy))
-    lhs = apply_diag(v, lambda n: float(n))
+    lhs = apply_diag(v, lambda n: n)
     kp = k_plus(v, m)
     r = lhs.amplitudes - math.sqrt(1.0 - eta) * kp.amplitudes - m * v.amplitudes
     return float(np.linalg.norm(r))
@@ -132,14 +130,10 @@ def su11_displace(
     v0 = np.zeros(n_max + 1, dtype=complex)
     v0[m] = 1.0
     up = xi * _raising_band(m, n_max)
-    out = expm_apply_skew(up, v0)
-    boundary = float(np.sum(np.abs(out[-2:]) ** 2))
-    if boundary > 1e4 * policy.tail_eps:
-        raise TruncationError(
-            f"truncation too small for xi={xi}: boundary mass {boundary:.3e}"
-        )
-    tail = tail_mass_nbs(eta_target, m, n_max)
-    return FockVector(out, n_max, tail + boundary)
+    out, bound = expm_apply_skew_bounded(
+        up, v0, eta_target, m, policy.tail_eps, f"xi={xi}"
+    )
+    return FockVector(out, n_max, bound)
 
 
 def disentangle_check(
@@ -190,8 +184,6 @@ def nonlinear_eigen_residual(
     policy = policy or TruncationPolicy()
     v = nbs(NBSParams(eta, m), sharpened(policy))
     w = apply_annihilation(v)
-    w = apply_diag(
-        w, lambda n: math.sqrt(n + 1 - m) / (n + 1) if n + 1 >= m else 0.0
-    )
+    w = apply_diag(w, lambda n: np.sqrt(np.maximum(n + 1 - m, 0)) / (n + 1))
     r = w.amplitudes - math.sqrt(1.0 - eta) * v.amplitudes
     return float(np.linalg.norm(r))

@@ -200,7 +200,7 @@ def criterion_nonlinear_lowering() -> CheckResult:
     # at m = 0 the operator is (N+1)^(-1/2) a acting on the geometric state
     for eta in (0.2, 0.5, 0.8):
         v = nbs(NBSParams(eta, 0), sharpened(TruncationPolicy()))
-        w = apply_diag(apply_annihilation(v), lambda n: 1.0 / math.sqrt(n + 1))
+        w = apply_diag(apply_annihilation(v), lambda n: 1.0 / np.sqrt(n + 1))
         r = w.amplitudes - math.sqrt(1.0 - eta) * v.amplitudes
         worst = max(worst, float(np.linalg.norm(r)))
     return CheckResult(

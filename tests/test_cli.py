@@ -56,6 +56,10 @@ class TestParsing:
             (("wigner", "--eta", "0.5", "--m", "1", "--range", "-2"), "range"),
             (("wigner", "--eta", "0.5", "--m", "1", "--x-min", "2", "--x-max", "-2"), "bounds"),
             (("stats", "--eta", "0.5", "--m", "1", "--tail-eps", "0.1"), "tail-eps"),
+            (("wigner", "--eta", "0.5", "--m", "1", "--x-min", "nan"),
+             "x-min must be finite, got nan"),
+            (("wigner", "--eta", "0.5", "--m", "1", "--x-max", "inf"),
+             "x-max must be finite, got inf"),
         ],
     )
     def test_invalid_arguments_name_the_token(self, argv, needle):
@@ -108,6 +112,8 @@ class TestConfigSources:
             ("volume = 11\n", "volume"),
             ("m = 2.5\n", "m"),
             ("just a line\n", "key=value"),
+            ("format = xml\n", "format must be 'csv' or 'json', got xml"),
+            ("x_min = nan\n", "x-min must be finite, got nan"),
         ],
     )
     def test_config_file_errors_name_the_line(self, tmp_path, content, needle):

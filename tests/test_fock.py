@@ -121,17 +121,17 @@ class TestApplyDiag:
         assert out.amplitudes[5] == pytest.approx(5.0)
 
     def test_shifted_sqrt(self):
-        out = apply_diag(number_state(5, 8), lambda n: math.sqrt(n - 2))
+        out = apply_diag(number_state(5, 8), lambda n: np.sqrt(n - 2))
         assert out.amplitudes[5] == pytest.approx(math.sqrt(3))
 
     def test_non_finite_off_support_ok(self):
         # sqrt(n-2) is undefined below n=2 but |5> has no amplitude there
-        out = apply_diag(number_state(5, 8), lambda n: math.sqrt(n - 2))
+        out = apply_diag(number_state(5, 8), lambda n: np.sqrt(n - 2))
         assert np.isfinite(out.amplitudes).all()
 
     def test_non_finite_on_support_raises(self):
         with pytest.raises(ValueError, match="non-finite"):
-            apply_diag(number_state(1, 4), lambda n: math.sqrt(n - 2))
+            apply_diag(number_state(1, 4), lambda n: np.sqrt(n - 2))
 
 
 class TestTailMass:

@@ -91,6 +91,15 @@ class TestNBS:
         with pytest.raises(TruncationError, match="achieved tail"):
             nbs(NBSParams(0.05, 3), pol)
 
+    def test_basis_below_the_mode_is_not_accepted(self):
+        # the doubling schedule starts below the mode of NB(0.5, 1500), near
+        # 3000, where the terms underflow: such a basis must report tail 1
+        v = nbs(NBSParams(0.5, 1500))
+        assert v.n_max == 4096
+        assert np.sum(v.probabilities()) == pytest.approx(1.0, abs=1e-10)
+        with pytest.raises(TruncationError, match="achieved tail mass 1.000e"):
+            nbs(NBSParams(0.5, 3000))
+
     def test_choose_n_max_doubles_from_start(self):
         pol = TruncationPolicy()
         n = choose_n_max(0.5, 1, pol)
@@ -122,7 +131,7 @@ class TestRaisingIdentities:
 
         lo = nbs(NBSParams(eta, m), TruncationPolicy(tail_eps=1e-20))
         hi = nbs(NBSParams(eta, m + 1), TruncationPolicy(tail_eps=1e-20))
-        out = apply_diag(lo, lambda n: math.sqrt(max(n - m, 0)))
+        out = apply_diag(lo, lambda n: np.sqrt(np.maximum(n - m, 0)))
         hi = pad_to(hi, out.n_max) if hi.n_max < out.n_max else hi
         out = pad_to(out, hi.n_max)
         scale = math.sqrt((1 - eta) / eta) * math.sqrt(m + 1)
