@@ -36,6 +36,7 @@ from .phasespace import GridSpec, grid_evaluate
 from .squeeze import SCAN_POLICY, default_eta_grid, squeezing_scan
 from .states import NBSParams, nbs, two_mode_geometric
 from .stats import stats_report
+from .su11 import sech_squared
 from .verify import run_all
 
 __all__ = ["CliError", "RunConfig", "main", "parse_config", "read_grid_csv", "run"]
@@ -372,7 +373,7 @@ def _evolve_text(config: RunConfig) -> str:
     rows = []
     for chi_t in times:
         chi_t = float(chi_t)
-        eta_target = 1.0 - math.tanh(chi_t) ** 2
+        eta_target = sech_squared(chi_t)
         if config.scheme == "intensity":
             v = evolve_intensity_dependent(EvolutionSpec(chi_t, m=m, policy=policy))
             target = nbs(NBSParams(eta_target, m), policy)
@@ -420,9 +421,14 @@ def run(config: RunConfig) -> int:
         return 2
     if config.output is None:
         sys.stdout.write(text)
-    else:
+        return code
+    try:
         with open(config.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        print(f"error: cannot write {config.output!r}: {reason}", file=sys.stderr)
+        return 1
     return code
 
 

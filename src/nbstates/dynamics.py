@@ -3,7 +3,7 @@
 Two routes to the negative binomial family:
 
   * intensity-dependent coupling: exp(chi t (K+ - K-)) drives |m>
-    directly along the family, landing on nbs(1 - tanh^2(chi t), m);
+    directly along the family, landing on nbs(sech^2(chi t), m);
   * a nondegenerate parametric amplifier builds the two-mode geometric
     state from |0,0>, and conditional m-photon addition on the signal
     mode (an atom crossing the cavity, detected in its ground state)
@@ -25,7 +25,7 @@ import numpy as np
 from ._expm import expm_apply_skew_bounded
 from .fock import FockVector, TruncationPolicy, inner_product, pad_to
 from .states import PairBasisVector, choose_n_max
-from .su11 import su11_displace
+from .su11 import sech_squared, su11_displace
 
 __all__ = [
     "EvolutionSpec",
@@ -52,7 +52,7 @@ class EvolutionSpec:
 
 
 def evolve_intensity_dependent(spec: EvolutionSpec) -> FockVector:
-    """exp(chi t (K+ - K-)) |m>; lands on nbs(1 - tanh^2(chi t), m)."""
+    """exp(chi t (K+ - K-)) |m>; lands on nbs(sech^2(chi t), m)."""
     return su11_displace(spec.chi_t, spec.m, spec.policy)
 
 
@@ -63,12 +63,12 @@ def evolve_parametric(
 
     The generator a1†a2† - a1a2 is tridiagonal-skew over |n,n> with
     raising elements (n+1); the result equals
-    two_mode_geometric(1 - tanh^2(chi t)).
+    two_mode_geometric(sech^2(chi t)).
     """
     policy = policy or TruncationPolicy()
     if not (math.isfinite(chi_t) and chi_t >= 0.0):
         raise ValueError(f"chi_t must be a finite nonnegative real, got {chi_t}")
-    eta_target = 1.0 - math.tanh(chi_t) ** 2
+    eta_target = sech_squared(chi_t)
     n_max = choose_n_max(eta_target, 0, policy)
     v0 = np.zeros(n_max + 1, dtype=complex)
     v0[0] = 1.0

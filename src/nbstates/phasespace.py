@@ -1,6 +1,6 @@
 """Q function, Wigner function, and s-parametrized quasiprobabilities.
 
-All distributions here are built from displaced-number overlaps
+Single points are built from displaced-number overlaps
 q_k(beta) = |<k| D(-beta) |psi>|^2:
 
     F(beta; s) = (2/pi) sum_k (-1)^k (1+s)^k / (1-s)^(k+1) q_k
@@ -12,9 +12,15 @@ beta and basis size (three-term recurrences for the overlaps are not:
 they amplify roundoff catastrophically whenever |beta|^2 is small
 compared to the photon cutoff).
 
-Grids walk each row of points by composing small displacement steps,
-so a 201x201 Wigner grid costs a few hundred banded exponentials
-instead of forty thousand.
+Grids take another route.  W and S grids evaluate the wave function
+psi(q) = sum_n c_n phi_n(q) once, on one q-lattice, and sum the Fourier
+integral of conj psi(q+u) psi(q-u) by the trapezoid rule, which
+converges exponentially on this integrand; S adds a Gaussian along u
+and one smoothing kernel along the lattice of centres.  Points beyond
+the state's support get 0 within a stated bound, so the work does not
+grow with the window.  Q grids sum the coherent-state coefficients
+directly, in the log domain where the direct product under- or
+overflows.  The pointwise functions stay the independent oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._expm import expm_apply_skew, expm_apply_skew_batch, taylor_terms
+from ._expm import expm_apply_skew
 from .fock import ConvergenceError, FockVector, TruncationError
 from .states import NBSParams
 
@@ -44,6 +50,15 @@ __all__ = [
 
 _TWO_OVER_PI = 2.0 / math.pi
 _SERIES_TOL = 1e-10
+_SQRT2 = math.sqrt(2.0)
+# a priori bound on each error term of the grid engine (_grid_walk)
+_GRID_EPS = 1e-16
+# grid engine blocks hold at most this many products (2 MiB complex)
+_BLOCK_ITEMS = 1 << 17
+# the Hermite recursion divides its values down by this when they pass it
+_RESCALE = 1e150
+_LOG_RESCALE = math.log(_RESCALE)
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -236,19 +251,42 @@ def s_distribution(
     return _series_value(q, s, k_max)
 
 
+def _overlap_log(c: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """<beta|state> for each beta, every coefficient built in the log domain.
+
+    For |beta|^2 past ~1400, where e^{-|beta|^2/2} underflows and the
+    product conj(beta)^n / sqrt(n!) overflows.
+    """
+    n = np.arange(len(c))
+    half_log_fact = 0.5 * np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
+    r = np.abs(beta)[:, None]
+    log_mag = n * np.log(r) - half_log_fact - 0.5 * r * r
+    return np.exp(log_mag - 1j * np.angle(beta)[:, None] * n) @ c
+
+
+def _direct_overlap_fails(coef: np.ndarray) -> np.ndarray:
+    # the prefactor has underflowed, or a partial product overflowed: once
+    # infinite, the product stays infinite (or NaN) up to its last entry
+    return (coef[..., 0].real < _TINY) | ~np.isfinite(coef[..., -1])
+
+
 def q_function(state: FockVector, p: PhaseSpacePoint) -> float:
     """(1/pi) |<beta|state>|^2 via the coherent-state coefficient sum."""
     beta = p.beta
     c = state.amplitudes
     n = state.n_max
     # conj coherent coefficients e^{-x/2} conj(beta)^n / sqrt(n!), prefolded
-    # so every partial product is a true coefficient and cannot overflow
+    # so every partial product is a true coefficient
     coef = np.empty(n + 1, dtype=complex)
     coef[0] = math.exp(-0.5 * abs(beta) ** 2)
     if n >= 1:
         steps = np.conj(beta) / np.sqrt(np.arange(1.0, n + 1.0))
-        coef[1:] = coef[0] * np.cumprod(steps)
-    ov = np.sum(coef * c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef[1:] = coef[0] * np.cumprod(steps)
+    if _direct_overlap_fails(coef):
+        ov = _overlap_log(c, np.array([beta]))[0]
+    else:
+        ov = np.sum(coef * c)
     return float(abs(ov) ** 2 / math.pi)
 
 
@@ -319,56 +357,215 @@ def _grid_q(state: FockVector, spec: GridSpec) -> np.ndarray:
         coef[:, 0] = np.exp(-0.5 * np.abs(beta) ** 2)
         if n >= 1:
             steps = np.conj(beta)[:, None] * inv_sq[None, :]
-            coef[:, 1:] = coef[:, 0, None] * np.cumprod(steps, axis=1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                coef[:, 1:] = coef[:, 0, None] * np.cumprod(steps, axis=1)
         ov = coef @ c
+        far = _direct_overlap_fails(coef)
+        if far.any():
+            ov[far] = _overlap_log(c, beta[far])
         out[:, i] = np.abs(ov) ** 2 / math.pi
     return out
 
 
-def _grid_walk(state: FockVector, spec: GridSpec, s: float) -> np.ndarray:
-    """W or S values over the grid by column displacement plus x-steps.
+def _log_hermite_tail(n_top: int, rho: float) -> float:
+    """log of a bound on the integral over t >= rho of sum_{n<=n_top} phi_n(t)^2.
 
-    Each y-row keeps a live displaced copy of the state; stepping in x
-    composes one more small displacement.  The composition phase drops
-    out of |phi_k|^2, so walking and direct displacement agree.
+    Mehler's formula sum_n phi_n(t)^2 s^n = exp(-t^2 (1-s)/(1+s)) /
+    sqrt(pi (1-s^2)) bounds the partial sum by s^-n_top times the right
+    side for every s in (0, 1); s is the minimiser of the exponent (the
+    smaller root of n_top s^2 - 2 (rho^2 - n_top) s + n_top = 0) and the
+    Gaussian tail integral is bounded by exp(-a rho^2) / (2 a rho).
+    Returns inf inside the turning point sqrt(2 n_top + 1).
     """
-    xs, ys = spec.xs(), spec.ys()
-    r2 = max(abs(spec.x_min), abs(spec.x_max)) ** 2 + max(
-        abs(spec.y_min), abs(spec.y_max)
-    ) ** 2
-    w_size = _workspace_size(state.n_max, r2)
-    sq = np.sqrt(np.arange(1.0, w_size + 1.0))
-    band_max = sq[-1] + sq[-2]
+    r2 = rho * rho
+    if n_top == 0:
+        s, log_s_pow = 0.0, 0.0
+    elif r2 <= 2.0 * n_top:
+        return math.inf
+    else:
+        s = n_top / ((r2 - n_top) + math.sqrt(r2 * (r2 - 2.0 * n_top)))
+        log_s_pow = -n_top * math.log(s)
+    a = (1.0 - s) / (1.0 + s)
+    return (log_s_pow - 0.5 * math.log(math.pi * (1.0 - s * s)) - a * r2
+            - math.log(2.0 * a * rho))
 
-    u = (1.0 + s) / (1.0 - s)
-    k = np.arange(w_size + 1, dtype=float)
-    weights = (-1.0) ** k * u**k / (1.0 - s)
 
-    V = np.zeros((w_size + 1, spec.ny), dtype=complex)
-    V[: state.n_max + 1, :] = state.amplitudes[:, None]
+def _support_extent(n_top: int) -> float:
+    """Smallest rho (on a 1/16 grid) with (8/pi) sqrt(T(rho)) <= _GRID_EPS.
 
-    delta0 = -(xs[0] + 1j * ys)
-    theta0 = float(np.max(np.abs(delta0))) * band_max
-    if theta0 > 0:
-        s0 = max(1, int(math.ceil(theta0 / 6.0)))
-        j0 = taylor_terms(theta0 / s0, 1e-13 / s0)
-        V = expm_apply_skew_batch(sq[:, None] * delta0[None, :], V, s0, j0)
+    T is the tail bound of ``_log_hermite_tail``; past rho every wave
+    function of the span {|0>..|n_top>} and its Wigner function are
+    below the engine's error budget (see ``_grid_walk``).
+    """
+    target = 2.0 * math.log(math.pi * _GRID_EPS / 8.0)
+    rho = math.sqrt(2.0 * n_top + 1.0)
+    while _log_hermite_tail(n_top, rho) > target:
+        rho += 0.0625
+    return rho
 
-    out = np.empty((spec.ny, spec.nx))
-    out[:, 0] = _TWO_OVER_PI * (weights @ (np.abs(V) ** 2))
 
-    if spec.nx > 1:
-        dx = xs[1] - xs[0]
-        if dx > 0:
-            theta_step = dx * band_max
-            s_step = max(1, int(math.ceil(theta_step / 6.0)))
-            j_step = taylor_terms(theta_step / s_step, 1e-14 / s_step)
-            up_step = (-dx) * sq[:, None]
-        for i in range(1, spec.nx):
-            if dx > 0:
-                V = expm_apply_skew_batch(up_step, V, s_step, j_step)
-            out[:, i] = _TWO_OVER_PI * (weights @ (np.abs(V) ** 2))
+def _wave_function(c: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """psi(q) = sum_n c_n phi_n(q) by the normalised Hermite recursion.
+
+    Each point carries a log scale: phi_n = f_n exp(log_scale), with f
+    divided down whenever it passes 1e150, so phi_0 = pi^-1/4 e^{-q^2/2}
+    never underflows and high orders never overflow.  One step grows
+    max(|f|, |f_prev|) by at most sqrt2 |q| + 1, so checking every
+    eighth step keeps both below 1e150 (sqrt2 |q| + 1)^8, far from
+    overflow for any lattice here (|q| < 200 at the 4096 basis cap).
+    """
+    log_scale = -0.5 * q * q - 0.25 * math.log(math.pi)
+    f_prev = np.zeros_like(q)
+    f = np.ones_like(q)
+    acc = c[0] * f
+    for n in range(len(c) - 1):
+        f_next = math.sqrt(2.0 / (n + 1)) * q * f
+        f_next -= math.sqrt(n / (n + 1.0)) * f_prev
+        f_prev, f = f, f_next
+        acc += c[n + 1] * f
+        if n % 8 == 7:
+            big = np.maximum(np.abs(f), np.abs(f_prev)) > _RESCALE
+            if big.any():
+                f[big] /= _RESCALE
+                f_prev[big] /= _RESCALE
+                acc[big] /= _RESCALE
+                log_scale[big] += _LOG_RESCALE
+    mag = np.abs(acc)
+    nz = mag > 0.0
+    out = np.zeros_like(acc)
+    out[nz] = acc[nz] / mag[nz] * np.exp(np.log(mag[nz]) + log_scale[nz])
     return out
+
+
+def _grid_walk(state: FockVector, spec: GridSpec, s: float) -> np.ndarray:
+    """W (s = 0) or S (-1 <= s < 0) over the grid by Fourier quadrature.
+
+    With q = sqrt2 x and psi(q) = sum_n c_n phi_n(q) evaluated once on
+    one q-lattice of step h,
+
+        W(x, y) = (2/pi) h sum_l conj psi(q + lh) psi(q - lh) e^{2i sqrt2 y lh},
+
+    the trapezoid rule for (2/pi) int conj psi(q+u) psi(q-u) e^{2i sqrt2 y u} du.
+    S with t = -s is W smoothed by a Gaussian of variance t/4 along x
+    and y: along y it multiplies the integrand by e^{-t u^2}, along x
+    (on the lattice of centres) it is one real kernel kappa, the inverse
+    DFT of e^{-t k^2 / 4}.  kappa is exact for every t and is the exact
+    delta at t = 0, where only the grid's own columns are computed.
+
+    Lattice: h = sqrt2 dx / k with k = ceil(sqrt2 dx / h_max), so every
+    column centre is a node.  Columns closer than h_max fall into
+    classes ``stride`` columns apart, each on a lattice of step
+    stride sqrt2 dx (past nx columns, one lattice per column), so h
+    stays in (h_max / 2, h_max] however narrow the window.  Let N be
+    the top occupied photon number, rho_W the ``_support_extent`` of N
+    and rho = rho_W + sqrt(t ln(4 / (pi eps))), eps = _GRID_EPS.
+    h_max = pi / (rho + sqrt2 |y|max), i.e. 2 pi over the bandwidth
+    2 sqrt(2N+1) + 2 sqrt2 |y|max plus twice the margin
+    rho - sqrt(2N+1); for t > 0 also h_max <= pi / (2 rho_W), the band
+    of the centre sequence.  psi is kept on |q| <= rho_W + h.
+
+    Error bound (a priori, before rounding).  By Poisson summation the
+    lattice sum equals the exact value plus images at y shifted by
+    multiples of pi / (sqrt2 h), all beyond rho; for a state in the span
+    of |0>..|N>, |W| <= (4/pi) sqrt(T(sqrt2 |beta|)) with T the Mehler
+    tail bound of ``_log_hermite_tail`` (Cauchy-Schwarz on the Wigner
+    integral, plus rotation covariance), and |S| <= that bound beyond
+    rho_W plus (2/pi) e^{-2 d^2 / t} at distance d past rho_W / sqrt2.
+    So the images add at most ~2 eps, dropping psi past rho_W + h at
+    most (8/pi) sqrt(T(rho_W)) <= eps, and the support clip - points
+    with |sqrt2 x| or |sqrt2 y| > rho, which get 0 - at most eps.
+    Each term is bounded by eps = 1e-16 (times sum |kappa| for S), and
+    the lattice never grows with the window: it spans |q| <= rho only.
+    """
+    t = -float(s)
+    out = np.zeros((spec.ny, spec.nx))
+    c = state.amplitudes
+    occupied = np.flatnonzero(c)
+    if occupied.size == 0:
+        return out
+    c = c[: occupied[-1] + 1]
+    if not np.any(c.imag):
+        c = c.real
+    rho_w = _support_extent(len(c) - 1)
+    rho = rho_w + math.sqrt(t * math.log(4.0 / (math.pi * _GRID_EPS)))
+    qx, qy = _SQRT2 * spec.xs(), _SQRT2 * spec.ys()
+    cols = np.flatnonzero(np.abs(qx) <= rho)
+    rows = np.flatnonzero(np.abs(qy) <= rho)
+    if cols.size == 0 or rows.size == 0:
+        return out
+
+    h_max = math.pi / (rho + float(np.abs(qy[rows]).max()))
+    if t > 0.0:
+        h_max = min(h_max, math.pi / (2.0 * rho_w))
+    step_x = _SQRT2 * (spec.x_max - spec.x_min) / (spec.nx - 1)
+    if step_x >= h_max:
+        h, stride = step_x / math.ceil(step_x / h_max), 1
+    elif step_x > 0.0:
+        # columns closer than h_max: those ``stride`` apart share a lattice,
+        # and past nx columns each column has a lattice of its own
+        stride = min(int(h_max // step_x), spec.nx)
+        h = stride * step_x if stride < spec.nx else h_max
+    else:
+        h, stride = h_max, 1
+
+    # from any centre, offsets l h up to n_off h reach past psi's support
+    n_off = int((rho_w + h) / h) + 1
+    lh = h * np.arange(n_off + 1)
+    weight = (4.0 / math.pi) * h * np.exp(-t * lh * lh)
+    weight[0] *= 0.5
+    phase = 2.0 * np.outer(lh, qy[rows])
+    cos_w = weight[:, None] * np.cos(phase)
+    sin_w = weight[:, None] * np.sin(phase) if c.dtype == complex else None
+    for r in np.unique(cols % stride):
+        part = cols[cols % stride == r]
+        values = _lattice_sums(c, qx[part], h, rho, rho_w + h, t, cos_w, sin_w)
+        out[np.ix_(rows, part)] = values.T
+    return out
+
+
+def _lattice_sums(c, centres, h, rho, reach, t, cos_w, sin_w) -> np.ndarray:
+    """The grid engine's values at ``centres``, all nodes of one q-lattice.
+
+    The lattice has step h and spans |q| <= rho; psi is kept on
+    |q| <= reach.  cos_w and sin_w (None for real c) hold the weighted
+    Fourier factors of offsets 0..n_off for each grid row.
+    """
+    # nodes q_a + j h, j_lo <= j <= j_hi, anchored on the centre nearest 0
+    q_a = float(centres[np.argmin(np.abs(centres))])
+    j_lo = -math.floor((rho + q_a) / h)
+    j_hi = math.floor((rho - q_a) / h)
+    nodes = q_a + h * np.arange(j_lo, j_hi + 1)
+    at = np.rint((centres - q_a) / h).astype(int) - j_lo
+
+    inside = np.flatnonzero(np.abs(nodes) <= reach)
+    psi = np.zeros(len(nodes), dtype=c.dtype)
+    psi[inside] = _wave_function(c, nodes[inside])
+
+    # kappa on a period twice the lattice, so no wrap reaches a centre
+    period = 2 * len(nodes)
+    k_q = 2.0 * math.pi * np.fft.rfftfreq(period, h)
+    kappa = np.fft.irfft(np.expm1(-0.25 * t * k_q * k_q), period)
+    kappa[0] += 1.0
+    kern = kappa[(at[:, None] - inside[None, :]) % period]
+    used = np.flatnonzero(kern.any(axis=0))
+    sources = inside[used]
+
+    n_off = cos_w.shape[0] - 1
+    pad = np.zeros(n_off, psi.dtype)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([pad, psi, pad]), n_off + 1
+    )
+    g = np.empty((len(sources), cos_w.shape[1]))
+    block = max(1, _BLOCK_ITEMS // (n_off + 1))
+    for lo in range(0, len(sources), block):
+        src = sources[lo:lo + block]
+        # f[b, l] = conj psi(c_b + l h) psi(c_b - l h)
+        f = np.conj(windows[src + n_off]) * windows[src][:, ::-1]
+        if sin_w is None:
+            g[lo:lo + block] = f @ cos_w
+        else:
+            g[lo:lo + block] = f.real @ cos_w - f.imag @ sin_w
+    return kern[:, used] @ g
 
 
 def grid_evaluate(

@@ -19,6 +19,7 @@ import numpy as np
 from ._expm import apply_series, expm_apply_skew_bounded
 from .fock import (
     FockVector,
+    TruncationError,
     TruncationPolicy,
     apply_annihilation,
     apply_creation,
@@ -34,8 +35,25 @@ __all__ = [
     "k_zero",
     "ladder_residual",
     "nonlinear_eigen_residual",
+    "sech_squared",
     "su11_displace",
 ]
+
+
+def sech_squared(xi: float) -> float:
+    """eta = sech(xi)^2 = (2 e^-|xi| / (1 + e^-2|xi|))^2, reached from |m> by xi.
+
+    Unlike 1 - tanh(xi)^2, which cancels to 0 from xi ~ 19 on, this keeps
+    full relative precision until the value underflows (|xi| past ~372);
+    there it raises TruncationError, since no finite basis holds the state.
+    """
+    e = math.exp(-abs(xi))
+    eta = (2.0 * e / (1.0 + e * e)) ** 2
+    if eta == 0.0:
+        raise TruncationError(
+            f"eta = sech^2({xi}) underflows to 0: no finite basis holds the state"
+        )
+    return eta
 
 
 def _check_subspace(v: FockVector, m: int) -> None:
@@ -116,7 +134,7 @@ def su11_displace(
 ) -> FockVector:
     """exp(xi (K+ - K-)) |m>, computed by the banded exponential.
 
-    Equals nbs(1 - tanh(xi)^2, m) analytically; the basis is sized for
+    Equals nbs(sech(xi)^2, m) analytically; the basis is sized for
     that target state.  Boundary amplitude buildup beyond the policy's
     tail budget raises TruncationError.
     """
@@ -125,7 +143,7 @@ def su11_displace(
         raise ValueError(f"m must be a nonnegative integer, got {m}")
     if not math.isfinite(xi):
         raise ValueError(f"xi must be finite, got {xi}")
-    eta_target = 1.0 - math.tanh(xi) ** 2
+    eta_target = sech_squared(xi)
     n_max = choose_n_max(eta_target, m, policy)
     v0 = np.zeros(n_max + 1, dtype=complex)
     v0[m] = 1.0

@@ -58,6 +58,7 @@ from .su11 import (
     k_zero,
     ladder_residual,
     nonlinear_eigen_residual,
+    sech_squared,
     su11_displace,
 )
 
@@ -328,7 +329,7 @@ def criterion_generation_dynamics() -> CheckResult:
     """Evolution targets and the conditional photon-addition state."""
     worst = 0.0
     for chi_t in (0.3, 0.8, 1.3, 2.0):
-        eta = 1.0 - math.tanh(chi_t) ** 2
+        eta = sech_squared(chi_t)
         for m in (0, 2):
             v = evolve_intensity_dependent(EvolutionSpec(chi_t, m=m))
             worst = max(worst, 1.0 - fidelity(v, nbs(NBSParams(eta, m))))

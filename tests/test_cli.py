@@ -189,6 +189,25 @@ class TestGridCommands:
         assert min(min(row) for row in payload["values"]) >= -1e-14
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wigner", "--range", "1e6"],
+            ["sdist", "--s", "-0.5", "--range", "1e3"],
+            ["qfunc", "--range", "1e6"],
+        ],
+    )
+    def test_wide_window_is_finite_and_exact_at_the_centre(self, argv, capsys):
+        from nbstates import NBSParams, PhaseSpacePoint, nbs, q_function, s_distribution
+
+        assert main(argv + ["--eta", "0.5", "--m", "1", "--nx", "3", "--ny", "3"]) == 0
+        _, values = read_grid_csv(capsys.readouterr().out)
+        assert np.all(np.isfinite(values))
+        state, origin = nbs(NBSParams(0.5, 1)), PhaseSpacePoint(0.0, 0.0)
+        s = {"wigner": 0.0, "sdist": -0.5}.get(argv[0])
+        want = q_function(state, origin) if s is None else s_distribution(state, origin, s)
+        assert abs(values[1, 1] - want) < 1e-9
+
+    @pytest.mark.parametrize(
         "text,needle",
         [
             ("1,2\n3,4\n", "header"),
@@ -252,6 +271,30 @@ class TestExitCodes:
 
     def test_run_reports_argument_errors_as_1(self, capsys):
         assert main(["stats", "--eta", "nope", "--m", "1"]) == 1
+
+    @pytest.mark.parametrize("chi_t", ["50", "1000"])
+    def test_long_evolution_is_a_numerical_failure(self, chi_t, capsys):
+        # sech^2(50) ~ 1.5e-43 needs a basis past the cap; sech^2(1000) underflows
+        assert main(["evolve", "--chi-t", chi_t, "--steps", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,config,path",
+        [
+            (["-o", "/no/such/dir/x.json"], None, "'/no/such/dir/x.json'"),
+            ([], "output =\n", "''"),
+        ],
+    )
+    def test_unwritable_output_is_one_line(self, tmp_path, capsys, argv, config, path):
+        if config is not None:
+            f = tmp_path / "out.conf"
+            f.write_text(config)
+            argv = argv + ["--config", str(f)]
+        assert main(["stats", "--eta", "0.5", "--m", "1"] + argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: cannot write {path}: No such file or directory\n"
 
 
 class TestSubprocessEntry:

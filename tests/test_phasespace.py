@@ -290,3 +290,134 @@ class TestGrids:
         assert g.values.shape == (5, 7)
         with pytest.raises(ValueError):
             g.values[0, 0] = 1.0
+
+
+def _closed_s(k, xs, ys, s):
+    """S(beta; s) of |0> (k = 0) or |1> (k = 1) on the grid's nodes."""
+    a = 1.0 - s
+    r2 = xs[None, :] ** 2 + ys[:, None] ** 2
+    gauss = 2.0 / (math.pi * a) * np.exp(-2.0 * r2 / a)
+    return gauss if k == 0 else gauss * (4.0 * r2 / a**2 - (1.0 + s) / a)
+
+
+def _pointwise(state, grid, s, nodes, k_max=512):
+    xs, ys = grid.xs(), grid.ys()
+    for i, j in nodes:
+        p = P(xs[i], ys[j])
+        if s == 0.0:
+            want = wigner(state, p, k_max)
+        else:
+            want = s_distribution(state, p, s, k_max)
+        yield grid.values[j, i], want
+
+
+class TestFourierGridEngine:
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("s", [0.0, -1e-9, -0.02, -0.5])
+    def test_number_state_closed_forms(self, k, s):
+        spec = GridSpec(-3.0, 2.5, -2.0, 3.0, 23, 17)
+        kind = "W" if s == 0.0 else "S"
+        g = grid_evaluate(number_state(k, 8), spec, kind, s)
+        assert np.max(np.abs(g.values - _closed_s(k, g.xs(), g.ys(), s))) < 1e-14
+
+    @pytest.mark.parametrize(
+        "state,spec",
+        [
+            (nbs(NBSParams(0.3, 2)), GridSpec(-3.0, 4.0, -2.0, 5.0, 31, 23)),
+            # psi reaches |q| ~ 45, where the Hermite recursion must rescale
+            (number_state(1000, 1000), GridSpec(28.0, 34.0, -3.0, 3.0, 7, 5)),
+        ],
+    )
+    def test_s_at_minus_one_is_the_q_grid(self, state, spec):
+        q = grid_evaluate(state, spec, "Q").values
+        s = grid_evaluate(state, spec, "S", s=-1.0).values
+        assert np.max(np.abs(q - s)) < 1e-13
+
+    def test_large_basis_against_pointwise(self):
+        state = nbs(NBSParams(0.1, 5))
+        assert state.n_max == 592
+        spec = GridSpec.square(6.0, 11, 11)
+        for kind, s in (("W", 0.0), ("S", -0.4)):
+            g = grid_evaluate(state, spec, kind, s)
+            nodes = [(0, 0), (5, 5), (3, 8), (10, 2)]
+            for got, want in _pointwise(state, g, s, nodes, k_max=4096):
+                assert abs(got - want) < 1e-9
+
+    @pytest.mark.parametrize("s", [0.0, -1e-9, -0.3, -1.0])
+    def test_complex_amplitudes_against_pointwise(self, s):
+        state = displaced_number_state(1 + 0.5j, 2, 40)
+        spec = GridSpec(-2.5, 3.0, -1.0, 2.2, 9, 6)
+        g = grid_evaluate(state, spec, "W" if s == 0.0 else "S", s)
+        nodes = [(i, j) for i in range(9) for j in range(6)]
+        for got, want in _pointwise(state, g, s, nodes):
+            assert abs(got - want) < 1e-9
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GridSpec(-1.0, 2.0, 0.5, 0.5, 2, 3),   # dy = 0
+            GridSpec(0.7, 0.7, -1.0, 2.0, 4, 2),   # dx = 0
+            GridSpec(-0.4, 2.9, -2.6, 0.3, 2, 7),  # nx = 2, off-centre
+        ],
+    )
+    @pytest.mark.parametrize("s", [0.0, -0.5])
+    def test_uneven_windows_against_pointwise(self, spec, s):
+        state = nbs(NBSParams(0.3, 2))
+        g = grid_evaluate(state, spec, "W" if s == 0.0 else "S", s)
+        assert g.values.shape == (spec.ny, spec.nx)
+        nodes = [(i, j) for i in range(spec.nx) for j in range(spec.ny)]
+        for got, want in _pointwise(state, g, s, nodes):
+            assert abs(got - want) < 1e-9
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GridSpec(-0.5, 0.5, -0.2, 0.3, 41, 6),          # columns share 5 lattices
+            GridSpec(0.3, 0.3 + 1e-6, -1e-6, 1e-6, 7, 3),  # a lattice per column
+        ],
+    )
+    @pytest.mark.parametrize("s", [0.0, -0.5])
+    def test_narrow_windows_against_pointwise(self, spec, s):
+        state = nbs(NBSParams(0.3, 2))
+        g = grid_evaluate(state, spec, "W" if s == 0.0 else "S", s)
+        nodes = [(0, 0), (spec.nx // 2, 1), (spec.nx - 1, spec.ny - 1), (3, 2)]
+        for got, want in _pointwise(state, g, s, nodes):
+            assert abs(got - want) < 1e-9
+
+    @pytest.mark.parametrize("s", [-0.02, -0.1])
+    def test_x_smoothing_on_a_single_row(self, s):
+        # one row at y = 0 leaves the lattice step to the x-smoothing band
+        state = number_state(60, 60)
+        g = grid_evaluate(state, GridSpec(-3.0, 2.0, 0.0, 0.0, 6, 2), "S", s)
+        for got, want in _pointwise(state, g, s, [(i, 0) for i in range(6)]):
+            assert abs(got - want) < 1e-9
+
+    @pytest.mark.parametrize("s", [0.0, -0.5])
+    def test_wide_window_is_clipped_to_the_support(self, s):
+        state = nbs(NBSParams(0.5, 1))
+        g = grid_evaluate(state, GridSpec.square(1e6, 3, 3), "W" if s == 0.0 else "S", s)
+        assert np.all(np.isfinite(g.values))
+        assert np.count_nonzero(g.values) == 1
+        (got, want), = _pointwise(state, g, s, [(1, 1)])
+        assert abs(got - want) < 1e-9
+
+
+class TestQGridFarRows:
+    def test_far_row_takes_the_log_domain(self):
+        # e^{-|beta|^2/2} underflows at |beta|^2 = 1500 and the coefficient
+        # product overflows, yet Q of |1500> there is ~3e-3
+        n = 1500
+        beta = math.sqrt(n)
+        spec = GridSpec(beta, beta, 0.0, 0.0, 2, 2)
+        g = grid_evaluate(number_state(n, n), spec, "Q")
+        log_q = -n + n * math.log(n) - math.lgamma(n + 1) - math.log(math.pi)
+        np.testing.assert_allclose(g.values, math.exp(log_q), rtol=1e-9)
+        assert q_function(number_state(n, n), P(beta, 0.0)) == pytest.approx(
+            math.exp(log_q), rel=1e-9
+        )
+
+    def test_huge_window_is_finite(self):
+        state = nbs(NBSParams(0.5, 1))
+        g = grid_evaluate(state, GridSpec.square(1e6, 3, 3), "Q")
+        assert np.all(np.isfinite(g.values))
+        assert g.values[1, 1] == q_function(state, P(0.0, 0.0))

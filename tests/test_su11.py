@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from nbstates.fock import (
     FockVector,
+    TruncationError,
     TruncationPolicy,
     inner_product,
     norm,
@@ -20,6 +21,7 @@ from nbstates.su11 import (
     k_zero,
     ladder_residual,
     nonlinear_eigen_residual,
+    sech_squared,
     su11_displace,
 )
 from nbstates._expm import apply_series, expm_apply_skew, taylor_terms
@@ -234,3 +236,18 @@ class TestExpmCore:
         got = apply_series(lambda w: a @ w, v.astype(complex))
         expect = expm(a) @ v
         assert np.linalg.norm(got - expect) < 1e-12
+
+
+class TestSechSquared:
+    @pytest.mark.parametrize("xi", [0.0, 0.3, -1.2, 5.0])
+    def test_matches_one_minus_tanh_squared(self, xi):
+        assert sech_squared(xi) == pytest.approx(1.0 - math.tanh(xi) ** 2, rel=1e-13)
+
+    @pytest.mark.parametrize("xi", [19.5, 50.0, 300.0])
+    def test_keeps_precision_where_tanh_cancels(self, xi):
+        # 1 - tanh^2 is exactly 0 here; sech^2 = 4 e^{-2 xi} to double precision
+        assert sech_squared(xi) == pytest.approx(4.0 * math.exp(-2.0 * xi), rel=1e-14)
+
+    def test_underflow_raises(self):
+        with pytest.raises(TruncationError, match="underflows"):
+            sech_squared(1000.0)
