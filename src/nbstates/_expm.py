@@ -18,6 +18,7 @@ from .fock import ConvergenceError, TruncationError, tail_mass_nbs
 
 __all__ = [
     "apply_series",
+    "boundary_mass",
     "expm_apply_skew",
     "expm_apply_skew_bounded",
     "expm_apply_skew_batch",
@@ -72,21 +73,30 @@ def expm_apply_skew(up: np.ndarray, v: np.ndarray, tol: float = 1e-13,
     return expm_apply_skew_batch(up[:, None], v[:, None], s, j_terms)[:, 0]
 
 
-def expm_apply_skew_bounded(up: np.ndarray, v: np.ndarray, eta: float, m: int,
-                            tail_eps: float, what: str) -> tuple[np.ndarray, float]:
-    """exp(G) v on a basis sized for NB(eta, m), with its truncation bound.
+def boundary_mass(out: np.ndarray, tail_eps: float, what: str) -> float:
+    """Mass in the top two amplitudes of a truncated skew exponential's result.
 
     A truncated skew exponential is unitary, so mass that should leave the
-    basis piles up at its top instead.  Past 1e4 * tail_eps in the top two
-    amplitudes this raises TruncationError naming ``what``; otherwise the
-    returned bound is that mass plus the NB(eta, m) tail above the basis.
+    basis piles up at its top instead.  Past 1e4 * tail_eps this raises
+    TruncationError naming ``what``.
     """
-    out = expm_apply_skew(up, v)
     boundary = float(np.sum(np.abs(out[-2:]) ** 2))
     if boundary > 1e4 * tail_eps:
         raise TruncationError(
             f"truncation too small for {what}: boundary mass {boundary:.3e}"
         )
+    return boundary
+
+
+def expm_apply_skew_bounded(up: np.ndarray, v: np.ndarray, eta: float, m: int,
+                            tail_eps: float, what: str) -> tuple[np.ndarray, float]:
+    """exp(G) v on a basis sized for NB(eta, m), with its truncation bound.
+
+    The bound is the ``boundary_mass`` (checked against tail_eps) plus the
+    NB(eta, m) tail above the basis.
+    """
+    out = expm_apply_skew(up, v)
+    boundary = boundary_mass(out, tail_eps, what)
     return out, tail_mass_nbs(eta, m, len(out) - 1) + boundary
 
 

@@ -260,6 +260,39 @@ def _g17(x: float) -> str:
     return "%.17g" % (float(x) + 0.0)
 
 
+def _csv_rows(table: np.ndarray) -> list[str]:
+    """One line of %.17g fields per row of a 2-D float array, as ``_g17``."""
+    line = ",".join(["%.17g"] * table.shape[1])
+    return [line % tuple(row + 0.0) for row in table]
+
+
+def _json_array(values: np.ndarray, depth: int) -> str:
+    """indent=2 JSON of a float array whose opening bracket sits at ``depth``.
+
+    json's C encoder writes each row's numbers; only the layout that
+    indent=2 gives is added here.
+    """
+    inner = "\n" + "  " * (depth + 1)
+    if values.ndim == 1:
+        items = json.dumps(values.tolist())[1:-1].split(", ")
+    else:
+        items = [_json_array(row, depth + 1) for row in values]
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json_text(payload: dict, arrays: dict) -> str:
+    """json.dumps(payload | arrays, indent=2, sort_keys=True) plus a newline.
+
+    The float arrays in ``arrays`` (nonempty, 1-D or 2-D) are written by
+    ``_json_array`` and spliced in where a placeholder string stands.
+    """
+    holders = {key: "\0" + key for key in arrays}
+    text = json.dumps({**payload, **holders}, indent=2, sort_keys=True)
+    for key, values in arrays.items():
+        text = text.replace(json.dumps(holders[key]), _json_array(values, 1), 1)
+    return text + "\n"
+
+
 def _grid_text(grid, fmt: str) -> str:
     if fmt == "json":
         payload = {
@@ -267,15 +300,13 @@ def _grid_text(grid, fmt: str) -> str:
             "y_min": grid.y_min, "y_max": grid.y_max,
             "nx": grid.nx, "ny": grid.ny,
             "riemann_sum": grid.riemann_sum,
-            "values": [[float(v) for v in row] for row in grid.values],
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _json_text(payload, {"values": grid.values})
     header = "# " + ",".join(
         [_g17(grid.x_min), _g17(grid.x_max), _g17(grid.y_min), _g17(grid.y_max),
          str(grid.nx), str(grid.ny)]
     )
-    rows = [",".join(_g17(v) for v in row) for row in grid.values]
-    return "\n".join([header] + rows) + "\n"
+    return "\n".join([header] + _csv_rows(grid.values)) + "\n"
 
 
 def read_grid_csv(text: str) -> tuple[GridSpec, np.ndarray]:
@@ -335,22 +366,12 @@ def _squeeze_text(config: RunConfig) -> str:
         tail_eps=config.tail_eps, n_hard_cap=SCAN_POLICY.n_hard_cap
     )
     scan = squeezing_scan([config.m], etas, policy)
+    columns = {"eta": scan.eta_values, "mean_a": scan.mean_a[0],
+               "mean_a2": scan.mean_a2[0], "var_x": scan.var_x[0], "var_y": scan.var_y[0]}
     if config.fmt == "json":
-        payload = {
-            "m": config.m,
-            "eta": [float(v) for v in scan.eta_values],
-            "mean_a": [float(v) for v in scan.mean_a[0]],
-            "mean_a2": [float(v) for v in scan.mean_a2[0]],
-            "var_x": [float(v) for v in scan.var_x[0]],
-            "var_y": [float(v) for v in scan.var_y[0]],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    lines = [f"# m={config.m}", "# eta,mean_a,mean_a2,var_x,var_y"]
-    for j, eta in enumerate(scan.eta_values):
-        lines.append(",".join(
-            [_g17(eta), _g17(scan.mean_a[0, j]), _g17(scan.mean_a2[0, j]),
-             _g17(scan.var_x[0, j]), _g17(scan.var_y[0, j])]
-        ))
+        return _json_text({"m": config.m}, columns)
+    lines = [f"# m={config.m}", "# " + ",".join(columns)]
+    lines += _csv_rows(np.column_stack(list(columns.values())))
     return "\n".join(lines) + "\n"
 
 

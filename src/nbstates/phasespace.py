@@ -18,9 +18,10 @@ integral of conj psi(q+u) psi(q-u) by the trapezoid rule, which
 converges exponentially on this integrand; S adds a Gaussian along u
 and one smoothing kernel along the lattice of centres.  Points beyond
 the state's support get 0 within a stated bound, so the work does not
-grow with the window.  Q grids sum the coherent-state coefficients
-directly, in the log domain where the direct product under- or
-overflows.  The pointwise functions stay the independent oracle.
+grow with the window.  Q grids take the same wave function on one
+lattice and sum the windowed-Fourier integral <beta|psi> against the
+coherent state's Gaussian as one matrix product per grid, so Q >= 0 by
+construction.  The pointwise functions stay the independent oracle.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._expm import expm_apply_skew
-from .fock import ConvergenceError, FockVector, TruncationError
+from ._expm import boundary_mass, expm_apply_skew
+from .fock import ConvergenceError, FockVector, TruncationError, TruncationPolicy
 from .states import NBSParams
 
 __all__ = [
@@ -51,7 +52,7 @@ __all__ = [
 _TWO_OVER_PI = 2.0 / math.pi
 _SERIES_TOL = 1e-10
 _SQRT2 = math.sqrt(2.0)
-# a priori bound on each error term of the grid engine (_grid_walk)
+# a priori bound on each error term of the grid engines (_grid_walk, _grid_q)
 _GRID_EPS = 1e-16
 # grid engine blocks hold at most this many products (2 MiB complex)
 _BLOCK_ITEMS = 1 << 17
@@ -192,22 +193,28 @@ def _displace(amps, delta: complex, tol: float = 1e-13) -> np.ndarray:
 
 
 def _displaced_probabilities(state: FockVector, beta: complex) -> np.ndarray:
-    """q_k = |<k| D(-beta) |state>|^2 on an adaptive workspace."""
+    """q_k = |<k| D(-beta) |state>|^2 on an adaptive workspace.
+
+    Raises TruncationError when the workspace's top two amplitudes hold
+    more than ``boundary_mass`` allows at the default basis tolerance.
+    """
     w = _workspace_size(state.n_max, abs(beta) ** 2)
     psi = np.zeros(w + 1, dtype=complex)
     psi[: state.n_max + 1] = state.amplitudes
     phi = _displace(psi, -beta)
+    boundary_mass(phi, TruncationPolicy().tail_eps, "the displaced state")
     return np.abs(phi) ** 2
 
 
-def _series_value(q: np.ndarray, s: float, k_max: int) -> float:
+def _series_value(q: np.ndarray, s: float, k_max: int | None) -> float:
     """Alternating weighted sum over q_k with the rigorous tail stop.
 
     Remaining mass past k is at most 1 - cum(q_k) since sum_k q_k is the
     squared norm; the weight envelope multiplies it by u^(k+1)/(1-s).
+    k_max None lets the sum run over every q_k given.
     """
     u = (1.0 + s) / (1.0 - s)
-    cap = min(k_max, len(q) - 1)
+    cap = len(q) - 1 if k_max is None else min(k_max, len(q) - 1)
     cum = 0.0
     total = 0.0
     weight = 1.0 / (1.0 - s)
@@ -226,8 +233,11 @@ def _series_value(q: np.ndarray, s: float, k_max: int) -> float:
     )
 
 
-def wigner(state: FockVector, p: PhaseSpacePoint, k_max: int = 512) -> float:
-    """(2/pi) sum_k (-1)^k q_k(beta), stopped once the tail bound < 1e-10."""
+def wigner(state: FockVector, p: PhaseSpacePoint, k_max: int | None = None) -> float:
+    """(2/pi) sum_k (-1)^k q_k(beta), stopped once the tail bound < 1e-10.
+
+    By default the sum may run over the whole displaced workspace.
+    """
     beta = p.beta
     if beta == 0:
         # exact limit: the displaced-number overlaps collapse to |c_k|^2
@@ -238,9 +248,9 @@ def wigner(state: FockVector, p: PhaseSpacePoint, k_max: int = 512) -> float:
 
 
 def s_distribution(
-    state: FockVector, p: PhaseSpacePoint, s: float, k_max: int = 512
+    state: FockVector, p: PhaseSpacePoint, s: float, k_max: int | None = None
 ) -> float:
-    """Quasiprobability at ordering parameter s in [-1, 0]."""
+    """Quasiprobability at ordering parameter s in [-1, 0]; k_max as in ``wigner``."""
     if not -1.0 <= s <= 0.0:
         raise ValueError(f"s must lie in [-1, 0], got {s}")
     beta = p.beta
@@ -345,25 +355,73 @@ def displaced_number_state(beta: complex, k: int, n_max: int) -> FockVector:
     return FockVector(amps, n_max, leak)
 
 
+def _occupied(c: np.ndarray) -> np.ndarray:
+    """c up to its last nonzero entry; real when no entry has an imaginary part."""
+    occupied = np.flatnonzero(c)
+    c = c[: occupied[-1] + 1] if occupied.size else c[:0]
+    return c if np.any(c.imag) else c.real
+
+
 def _grid_q(state: FockVector, spec: GridSpec) -> np.ndarray:
-    xs, ys = spec.xs(), spec.ys()
-    c = state.amplitudes
-    n = state.n_max
-    inv_sq = 1.0 / np.sqrt(np.arange(1.0, n + 1.0)) if n >= 1 else None
-    out = np.empty((spec.ny, spec.nx))
-    for i, xv in enumerate(xs):
-        beta = xv + 1j * ys
-        coef = np.empty((spec.ny, n + 1), dtype=complex)
-        coef[:, 0] = np.exp(-0.5 * np.abs(beta) ** 2)
-        if n >= 1:
-            steps = np.conj(beta)[:, None] * inv_sq[None, :]
-            with np.errstate(over="ignore", invalid="ignore"):
-                coef[:, 1:] = coef[:, 0, None] * np.cumprod(steps, axis=1)
-        ov = coef @ c
-        far = _direct_overlap_fails(coef)
-        if far.any():
-            ov[far] = _overlap_log(c, beta[far])
-        out[:, i] = np.abs(ov) ** 2 / math.pi
+    """Q over the grid by windowed-Fourier (Gabor) quadrature.
+
+    With q0 = sqrt2 x, p0 = sqrt2 y and psi(q) = sum_n c_n phi_n(q)
+    evaluated once on one q-lattice q_l = l h,
+
+        Q(x, y) = pi^{-3/2} |h sum_l e^{-(q_l - q0)^2/2} psi(q_l) e^{-i p0 q_l}|^2,
+
+    the trapezoid rule for (1/pi) |<beta|psi>|^2 written as the integral
+    of psi against the coherent state's wave function.  The sum is one
+    (columns x lattice) window matrix times one (lattice x rows) Fourier
+    matrix (a cosine and a sine product for real c), so Q >= 0 by
+    construction.
+
+    Lattice: h = 2 pi / (rho_W + sqrt2 |y|max + R), with N the top
+    occupied photon number, rho_W the ``_support_extent`` of N and
+    R = sqrt(2 ln(1/eps)) the reach of the window, e^{-R^2/2} = eps =
+    _GRID_EPS; the lattice spans |q| <= rho_W + h.
+
+    Error bound (a priori, before rounding).  By Poisson summation the
+    lattice sum equals the integral plus images at p0 shifted by
+    multiples of 2 pi / h, i.e. the overlaps with coherent states at
+    |p| >= rho_W + R.  psi in p is again in the span of phi_0..phi_N, so
+    an image meets e^{-R^2/2} on |p| <= rho_W and the Mehler tail
+    T(rho_W) of ``_log_hermite_tail`` beyond (Cauchy-Schwarz on each
+    part): together under ~eps in Q.  Dropping psi past rho_W + h moves
+    the sum by at most sqrt(pi^{1/2} + h) sqrt(2 T(rho_W)) (Cauchy-Schwarz
+    on the lattice; sum_n phi_n^2 falls beyond the turning point), so Q
+    by under (8/pi) sqrt(T(rho_W)) <= eps.  The support clip - points
+    with |sqrt2 x| or |sqrt2 y| > rho_W + R, which get 0 - drops values
+    below the same bounds.  The lattice never grows with the window.
+    """
+    out = np.zeros((spec.ny, spec.nx))
+    c = _occupied(state.amplitudes)
+    if c.size == 0:
+        return out
+    rho_w = _support_extent(len(c) - 1)
+    reach = math.sqrt(-2.0 * math.log(_GRID_EPS))
+    q0, p0 = _SQRT2 * spec.xs(), _SQRT2 * spec.ys()
+    cols = np.flatnonzero(np.abs(q0) <= rho_w + reach)
+    rows = np.flatnonzero(np.abs(p0) <= rho_w + reach)
+    if cols.size == 0 or rows.size == 0:
+        return out
+
+    h = 2.0 * math.pi / (rho_w + float(np.abs(p0[rows]).max()) + reach)
+    j_top = math.floor((rho_w + h) / h)
+    nodes = h * np.arange(-j_top, j_top + 1)
+    # h pi^{-3/4} folded into psi, so Q is the squared magnitude of the sum
+    psi = (h * math.pi ** -0.75) * _wave_function(c, nodes)
+    phase = np.outer(nodes, p0[rows])
+    if c.dtype == complex:
+        fourier = (np.exp(-1j * phase),)
+    else:
+        fourier = (np.cos(phase), np.sin(phase))
+    block = max(1, _BLOCK_ITEMS // len(nodes))
+    for lo in range(0, cols.size, block):
+        part = cols[lo:lo + block]
+        window = np.exp(-0.5 * (q0[part, None] - nodes[None, :]) ** 2) * psi
+        q = sum(np.abs(window @ f) ** 2 for f in fourier)
+        out[np.ix_(rows, part)] = q.T
     return out
 
 
@@ -479,13 +537,9 @@ def _grid_walk(state: FockVector, spec: GridSpec, s: float) -> np.ndarray:
     """
     t = -float(s)
     out = np.zeros((spec.ny, spec.nx))
-    c = state.amplitudes
-    occupied = np.flatnonzero(c)
-    if occupied.size == 0:
+    c = _occupied(state.amplitudes)
+    if c.size == 0:
         return out
-    c = c[: occupied[-1] + 1]
-    if not np.any(c.imag):
-        c = c.real
     rho_w = _support_extent(len(c) - 1)
     rho = rho_w + math.sqrt(t * math.log(4.0 / (math.pi * _GRID_EPS)))
     qx, qy = _SQRT2 * spec.xs(), _SQRT2 * spec.ys()

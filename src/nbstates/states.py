@@ -145,7 +145,9 @@ def excited_geometric(
     Built literally: m raising-operator applications on the geometric
     state, then normalization.  Equals nbs(eta, m) up to truncation error;
     the construction runs on a sharpened basis so the dropped top
-    amplitudes stay far below the 1e-10 fidelity budget.
+    amplitudes stay far below the 1e-10 fidelity budget.  tail_bound is
+    at least the NB(eta, m) mass above n_max, which the amplitudes
+    dropped along the way understate.
     """
     policy = policy or TruncationPolicy()
     if m < 0:
@@ -153,7 +155,9 @@ def excited_geometric(
     v = geometric_state(eta, sharpened(policy))
     for _ in range(m):
         v = apply_creation(v)
-    return normalized(v)
+    v = normalized(v)
+    bound = max(v.tail_bound, tail_mass_nbs(eta, m, v.n_max))
+    return FockVector(v.amplitudes, v.n_max, bound)
 
 
 def number_state(m: int, n_max: int) -> FockVector:

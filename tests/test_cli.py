@@ -220,6 +220,33 @@ class TestGridCommands:
             read_grid_csv(text)
 
 
+class TestBulkWriters:
+    """The row-at-a-time writers give the bytes of the plain per-value ones."""
+
+    def test_grid_text_matches_the_per_value_writers(self):
+        from nbstates.cli import _grid_text
+        from nbstates.phasespace import PhaseSpaceGrid
+
+        vals = np.array([[-0.0, 0.0, 5e-324, -1e300],
+                         [math.inf, -math.inf, math.nan, 0.1],
+                         [1 / 3, -2 / 3, 1e-17, 123456789.0]])
+        grid = PhaseSpaceGrid(-0.0, 1.0, -0.0, 2.0, 4, 3, vals, -0.0)
+        payload = {"x_min": -0.0, "x_max": 1.0, "y_min": -0.0, "y_max": 2.0,
+                   "nx": 4, "ny": 3, "riemann_sum": -0.0, "values": vals.tolist()}
+        # JSON keeps negative zero; CSV folds it into plain zero
+        want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert _grid_text(grid, "json") == want
+        rows = [",".join("%.17g" % (float(v) + 0.0) for v in row) for row in vals]
+        assert _grid_text(grid, "csv") == "\n".join(["# 0,1,0,2,4,3"] + rows) + "\n"
+
+    def test_squeeze_scan_json_layout(self, capsys):
+        assert main([
+            "squeeze-scan", "--m", "2", "--eta-step", "0.1", "--format", "json",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+
+
 class TestSqueezeScanCommand:
     def test_table_shape_and_values(self, capsys):
         assert main(["squeeze-scan", "--m", "7", "--eta-step", "0.1"]) == 0

@@ -184,6 +184,18 @@ class TestWigner:
         with pytest.raises(ConvergenceError, match="tail bound"):
             wigner(nbs(NBSParams(0.5, 0)), P(2.0, 0.0), k_max=1)
 
+    def test_default_series_runs_over_the_workspace(self):
+        # the displaced state spreads past photon number 512 here
+        state = nbs(NBSParams(0.1, 5))
+        g = grid_evaluate(state, GridSpec.square(6.0, 3, 3), "W")
+        assert abs(wigner(state, P(-6.0, -6.0)) - g.values[0, 0]) < 1e-9
+
+    def test_boundary_mass_is_a_truncation_error(self):
+        # D(10)|100> has photon-number spread ~140, past the workspace's
+        # margin: the reflected mass would give 0.0668 for W = 0.0434
+        with pytest.raises(TruncationError, match="boundary mass"):
+            wigner(number_state(100, 100), P(10.0, 0.0))
+
 
 class TestSDistribution:
     @pytest.mark.parametrize("eta,m", [(0.5, 0), (0.3, 1), (0.5, 2)])
@@ -420,4 +432,73 @@ class TestQGridFarRows:
         state = nbs(NBSParams(0.5, 1))
         g = grid_evaluate(state, GridSpec.square(1e6, 3, 3), "Q")
         assert np.all(np.isfinite(g.values))
-        assert g.values[1, 1] == q_function(state, P(0.0, 0.0))
+        assert abs(g.values[1, 1] - q_function(state, P(0.0, 0.0))) <= 1e-15
+
+
+def _q_mp(c, x, y):
+    """(1/pi) |<beta|psi>|^2 as a 30-digit coherent-coefficient sum."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        b = mpmath.mpc(x, -y)
+        term = mpmath.exp(-(mpmath.mpf(x) ** 2 + mpmath.mpf(y) ** 2) / 2)
+        total = mpmath.mpc(0)
+        for n, cn in enumerate(c):
+            if n:
+                term = term * b / mpmath.sqrt(n)
+            total += term * mpmath.mpc(complex(cn))
+        return float(abs(total) ** 2 / mpmath.pi)
+
+
+def _q_grid_against(state, spec, want, nodes=None):
+    """The Q grid is nonnegative and within 1e-15 of want(x, y) at nodes."""
+    g = grid_evaluate(state, spec, "Q")
+    assert g.values.min() >= 0.0
+    xs, ys = g.xs(), g.ys()
+    if nodes is None:
+        nodes = [(i, j) for i in range(spec.nx) for j in range(spec.ny)]
+    for i, j in nodes:
+        assert abs(g.values[j, i] - want(xs[i], ys[j])) <= 1e-15
+
+
+class TestGaborQGrid:
+    @pytest.mark.parametrize("n", [0, 1, 7, 60])
+    def test_number_state_closed_forms(self, n):
+        mpmath = pytest.importorskip("mpmath")
+
+        def closed(x, y):
+            # e^{-r2} r2^n / (pi n!), at 30 digits: the double-precision
+            # form loses ~n log(r2) ulps
+            with mpmath.workdps(30):
+                r2 = mpmath.mpf(x) ** 2 + mpmath.mpf(y) ** 2
+                return float(mpmath.exp(-r2) * r2**n / (mpmath.pi * mpmath.factorial(n)))
+
+        _q_grid_against(number_state(n, n + 5), GridSpec(-3.0, 8.5, -2.0, 3.0, 23, 17),
+                        closed)
+
+    @pytest.mark.parametrize("eta,m,half_width", [(0.3, 1, 6.0), (0.1, 5, 9.0)])
+    def test_large_bases_against_mpmath(self, eta, m, half_width):
+        state = nbs(NBSParams(eta, m))
+        assert state.n_max in (132, 592)
+        rng = np.random.default_rng(5)
+        nodes = [tuple(rng.integers(0, 41, 2)) for _ in range(8)] + [(20, 20), (0, 0)]
+        _q_grid_against(state, GridSpec.square(half_width, 41, 41),
+                        lambda x, y: _q_mp(state.amplitudes, x, y), nodes)
+
+    def test_complex_amplitudes(self):
+        state = displaced_number_state(1 + 0.5j, 2, 40)
+        _q_grid_against(state, GridSpec(-2.5, 3.0, -1.0, 2.2, 9, 6),
+                        lambda x, y: _q_mp(state.amplitudes, x, y))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GridSpec(-1.0, 2.0, 0.5, 0.5, 2, 3),            # dy = 0
+            GridSpec(0.7, 0.7, -1.0, 2.0, 4, 2),            # dx = 0
+            GridSpec(-0.4, 2.9, -2.6, 0.3, 2, 7),           # nx = 2, off-centre
+            GridSpec(-0.5, 0.5, -0.2, 0.3, 41, 6),          # narrow
+            GridSpec(0.3, 0.3 + 1e-6, -1e-6, 1e-6, 7, 3),  # narrower
+        ],
+    )
+    def test_uneven_windows_against_pointwise(self, spec):
+        state = nbs(NBSParams(0.3, 2))
+        _q_grid_against(state, spec, lambda x, y: q_function(state, P(x, y)))

@@ -168,6 +168,15 @@ class TestExcitedGeometric:
         b = nbs(NBSParams(0.5, 3))
         assert overlap_sq(a, b) >= 1 - 1e-10
 
+    @pytest.mark.parametrize("eta,m", [(0.7022, 7), (0.3, 1), (0.9, 4)])
+    def test_tail_bound_covers_the_mass_above_n_max(self, eta, m):
+        from scipy.stats import nbinom
+
+        v = excited_geometric(eta, m)
+        lost = nbinom.sf(v.n_max - m, m + 1, eta)
+        assert lost > 0.0
+        assert v.tail_bound >= lost * (1.0 - 1e-12)
+
     def test_eta_one_number_state(self):
         a = excited_geometric(1.0, 2)
         assert abs(a.amplitudes[2]) == pytest.approx(1.0)
