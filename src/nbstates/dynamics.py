@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._expm import expm_apply_skew_bounded
-from .fock import FockVector, TruncationPolicy, inner_product, pad_to
+from .fock import FockVector, TruncationPolicy, inner_product, pad_to, tail_mass_nbs
 from .states import PairBasisVector, choose_n_max
 from .su11 import sech_squared, su11_displace
 
@@ -76,7 +76,7 @@ def evolve_parametric(
     out, bound = expm_apply_skew_bounded(
         up, v0, eta_target, 0, policy.tail_eps, f"chi_t={chi_t}"
     )
-    return PairBasisVector(out, 0, n_max, bound)
+    return PairBasisVector(out, 0, n_max, bound, eta_target)
 
 
 def atom_passage(
@@ -88,7 +88,9 @@ def atom_passage(
     proportional to (a1†)^m_photon applied to the signal mode; that
     branch is returned normalized.  excited_weight is the probability
     the atom exits still excited, 1 - O(g_t^2).  Valid only for short
-    passage, enforced as 0 < g_t <= 0.1.
+    passage, enforced as 0 < g_t <= 0.1.  The branch of a two-mode
+    NB(eta, o) state is two-mode NB(eta, o + m_photon), whose mass above
+    the basis is its tail_bound; a state of no known family gets 1.0.
     """
     if not 0.0 < g_t <= 0.1:
         raise ValueError(f"g_t must satisfy 0 < g_t <= 0.1, got {g_t}")
@@ -102,17 +104,12 @@ def atom_passage(
     nrm2 = float(np.sum(np.abs(amps) ** 2))
     if nrm2 == 0.0:
         raise ValueError("state annihilated by the passage branch")
-    # the hidden tail would have been amplified by at most the top factor
-    top_gain = 1.0
-    for j in range(m_photon):
-        top_gain *= state.offset_m + j + 1 + state.n_max
-    tail = min(1.0, state.tail_bound * top_gain / nrm2)
-    ground = PairBasisVector(
-        amps / math.sqrt(nrm2),
-        state.offset_m + m_photon,
-        state.n_max,
-        tail,
-    )
+    offset = state.offset_m + m_photon
+    if state.eta is None:
+        tail = 1.0
+    else:
+        tail = tail_mass_nbs(state.eta, offset, offset + state.n_max)
+    ground = PairBasisVector(amps / math.sqrt(nrm2), offset, state.n_max, tail, state.eta)
     excited_weight = 1.0 / (1.0 + g_t * g_t * nrm2)
     return ground, excited_weight
 

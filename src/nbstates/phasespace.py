@@ -179,8 +179,10 @@ def displacement_matrix_element(n: int, k: int, beta: complex) -> complex:
 
 
 def _workspace_size(n_top: int, x: float) -> int:
-    # room for the displaced state: shift by |beta|^2 plus a dispersion margin
-    return int(math.ceil(n_top + x + 8.0 * math.sqrt(x + n_top + 1.0) + 40.0))
+    # room for D(beta)|N>, x = |beta|^2: shift by x plus eight times the
+    # larger of sqrt(x + N + 1) and the photon-number spread sqrt(x (2N + 1))
+    spread = max(math.sqrt(x + n_top + 1.0), math.sqrt(x * (2.0 * n_top + 1.0)))
+    return int(math.ceil(n_top + x + 8.0 * spread + 40.0))
 
 
 def _displace(amps, delta: complex, tol: float = 1e-13) -> np.ndarray:

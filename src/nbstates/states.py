@@ -54,12 +54,17 @@ class NBSParams:
 
 @dataclass(frozen=True, eq=False)
 class PairBasisVector:
-    """Two-mode state on the span of |offset_m + n, n> for n = 0..n_max."""
+    """Two-mode state on the span of |offset_m + n, n> for n = 0..n_max.
+
+    eta is that of the two-mode NB(eta, offset_m) family the state belongs
+    to, where its constructor knows it, and None otherwise.
+    """
 
     amplitudes: np.ndarray
     offset_m: int
     n_max: int
     tail_bound: float = 0.0
+    eta: float | None = None
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -71,6 +76,8 @@ class PairBasisVector:
             raise ValueError("offset_m must be nonnegative")
         if self.tail_bound < 0:
             raise ValueError("tail_bound must be nonnegative")
+        if self.eta is not None and not 0.0 < self.eta <= 1.0:
+            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -174,7 +181,7 @@ def two_mode_geometric(
 ) -> PairBasisVector:
     """Two-mode state with geometric amplitudes on the diagonal |n, n>."""
     g = geometric_state(eta, policy)
-    return PairBasisVector(g.amplitudes, 0, g.n_max, g.tail_bound)
+    return PairBasisVector(g.amplitudes, 0, g.n_max, g.tail_bound, eta)
 
 
 def two_mode_nbs(
@@ -188,4 +195,4 @@ def two_mode_nbs(
     """
     v = nbs(NBSParams(eta, m), policy)
     amps = v.amplitudes[m:]
-    return PairBasisVector(amps, m, v.n_max - m, v.tail_bound)
+    return PairBasisVector(amps, m, v.n_max - m, v.tail_bound, eta)

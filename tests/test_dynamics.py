@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from nbstates._expm import expm_apply_skew
-from nbstates.fock import TruncationPolicy, norm, pad_to
+from nbstates.fock import TruncationPolicy, norm, pad_to, tail_mass_nbs
 from nbstates.states import (
     NBSParams,
+    PairBasisVector,
     nbs,
     number_state,
     sharpened,
@@ -144,6 +145,31 @@ class TestAtomPassage:
             atom_passage(base, 0.0, 1)
         with pytest.raises(ValueError):
             atom_passage(base, 0.05, 0)
+
+    @pytest.mark.parametrize("eta,m", [(0.3666, 4), (0.5, 1), (0.8, 3)])
+    def test_tail_bound_covers_the_mass_above_n_max(self, eta, m):
+        betainc = pytest.importorskip("scipy.special").betainc
+        base = two_mode_geometric(eta)
+        ground, _ = atom_passage(base, 0.05, m)
+        # two-mode NB(eta, m): P(more than n_max failures before m + 1
+        # successes) = I_{1-eta}(n_max + 1, m + 1)
+        lost = betainc(base.n_max + 1, m + 1, 1.0 - eta)
+        assert ground.tail_bound == pytest.approx(lost, rel=1e-12)
+        assert ground.eta == eta
+
+    def test_tail_bound_follows_the_family_through_repeats(self):
+        once, _ = atom_passage(evolve_parametric(0.6), 0.05, 2)
+        twice, _ = atom_passage(once, 0.05, 3)
+        eta = 1.0 / math.cosh(0.6) ** 2
+        assert twice.offset_m == 5 and twice.eta == pytest.approx(eta, rel=1e-15)
+        assert twice.tail_bound == tail_mass_nbs(twice.eta, 5, 5 + twice.n_max)
+
+    def test_state_of_no_family_gets_the_trivial_bound(self):
+        base = two_mode_geometric(0.5)
+        plain = PairBasisVector(base.amplitudes, 0, base.n_max, base.tail_bound)
+        ground, _ = atom_passage(plain, 0.05, 2)
+        assert plain.eta is None and ground.tail_bound == 1.0
+        assert np.array_equal(ground.amplitudes, atom_passage(base, 0.05, 2)[0].amplitudes)
 
     def test_norm_of_branch(self):
         ground, _ = atom_passage(two_mode_geometric(0.3), 0.1, 2)

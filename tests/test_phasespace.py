@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from nbstates._expm import boundary_mass
 from nbstates.fock import ConvergenceError, TruncationError
 from nbstates.states import NBSParams, nbs, number_state
 from nbstates.phasespace import (
@@ -191,10 +192,25 @@ class TestWigner:
         assert abs(wigner(state, P(-6.0, -6.0)) - g.values[0, 0]) < 1e-9
 
     def test_boundary_mass_is_a_truncation_error(self):
-        # D(10)|100> has photon-number spread ~140, past the workspace's
-        # margin: the reflected mass would give 0.0668 for W = 0.0434
-        with pytest.raises(TruncationError, match="boundary mass"):
-            wigner(number_state(100, 100), P(10.0, 0.0))
+        # a unitary exponential on too small a basis piles mass at its top
+        out = np.zeros(50, dtype=complex)
+        out[-2:] = math.sqrt(0.5 * 1.01e-8)
+        with pytest.raises(TruncationError, match="boundary mass 1.010e-08"):
+            boundary_mass(out, 1e-12, "the displaced state")
+        out[-2:] = math.sqrt(0.5 * 0.99e-8)
+        assert boundary_mass(out, 1e-12, "the displaced state") < 1e-8
+
+    @pytest.mark.parametrize("n,beta", [(100, 10.0), (300, 6.0)])
+    def test_workspace_covers_the_photon_number_spread(self, n, beta):
+        # D(beta)|n> spreads by sqrt(2n+1)|beta| in photon number: ~142 and
+        # ~147 here, past a margin sized from sqrt(|beta|^2 + n + 1)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            x = mpmath.mpf(beta) ** 2
+            # W of |n> at beta: (2/pi) (-1)^n e^{-2x} L_n(4x), x = |beta|^2
+            exact = 2 / mpmath.pi * (-1) ** n * mpmath.exp(-2 * x)
+            exact *= mpmath.laguerre(n, 0, 4 * x)
+        assert abs(wigner(number_state(n, n), P(beta, 0.0)) - float(exact)) < 1e-10
 
 
 class TestSDistribution:

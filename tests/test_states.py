@@ -6,6 +6,7 @@ import pytest
 from nbstates.fock import TruncationError, TruncationPolicy, inner_product, pad_to
 from nbstates.states import (
     NBSParams,
+    PairBasisVector,
     choose_n_max,
     excited_geometric,
     geometric_state,
@@ -253,3 +254,12 @@ class TestTwoMode:
         v = two_mode_nbs(1.0, 2)
         assert v.amplitudes[0] == 1.0  # the ket |2, 0>
         assert v.offset_m == 2
+
+    def test_constructors_name_their_family(self):
+        assert two_mode_geometric(0.4).eta == 0.4
+        assert two_mode_nbs(0.7, 3).eta == 0.7
+
+    @pytest.mark.parametrize("eta", [0.0, -0.2, 1.5, math.nan])
+    def test_family_eta_validated(self, eta):
+        with pytest.raises(ValueError, match="eta must be in"):
+            PairBasisVector(np.ones(3), 0, 2, eta=eta)

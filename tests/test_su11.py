@@ -1,8 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
+from scipy.special import jv
 
 from nbstates.fock import (
     FockVector,
@@ -24,7 +27,16 @@ from nbstates.su11 import (
     sech_squared,
     su11_displace,
 )
-from nbstates._expm import apply_series, expm_apply_skew, taylor_terms
+from nbstates import _expm
+from nbstates._expm import (
+    apply_series,
+    bessel_j,
+    chebyshev_apply,
+    chebyshev_terms,
+    expm_apply_skew,
+    skew_norm1,
+    taylor_terms,
+)
 
 
 def overlap_sq(a, b):
@@ -227,6 +239,108 @@ class TestExpmCore:
         expect = expm(g) @ v
         got = expm_apply_skew(up, v)
         assert np.linalg.norm(got - expect) < 1e-12
+
+    @pytest.mark.parametrize("rho", [1e-3, 0.5, 5.0, 50.0, 500.0, 24573.0])
+    def test_bessel_values_against_scipy(self, rho):
+        k_top = chebyshev_terms(rho, 1e-13)
+        got = bessel_j(rho, k_top)
+        expect = jv(np.arange(k_top + 1), rho)
+        # the backward recurrence crosses ~rho oscillating orders
+        assert np.max(np.abs(got - expect)) < (2e-14 if rho <= 500 else 3e-13)
+
+    @pytest.mark.parametrize("rho", [1e-6, 0.5, 5.0, 50.0, 500.0])
+    @pytest.mark.parametrize("tol", [1e-15, 1e-13, 1e-8])
+    def test_term_count_is_the_smallest_meeting_its_bound(self, rho, tol):
+        def tail(k_top):
+            # 2 sum_{k > k_top} (rho/2)^k / k!, summed to 60 digits past it
+            with mpmath.workdps(40):
+                half = mpmath.mpf(rho) / 2
+                term = half ** (k_top + 1) / mpmath.factorial(k_top + 1)
+                total, k = mpmath.mpf(0), k_top + 1
+                while term > total * mpmath.mpf(10) ** -60:
+                    total += term
+                    k += 1
+                    term *= half / k
+                return 2 * total
+
+        k_top = chebyshev_terms(rho, tol)
+        assert tail(k_top) < tol
+        assert tail(k_top - 1) >= tol
+
+    def test_term_count_at_zero_norm(self):
+        assert chebyshev_terms(0.0, 1e-13) == 0
+
+    @staticmethod
+    def _band(n, rho, complex_band, seed):
+        rng = np.random.default_rng(seed)
+        up = rng.standard_normal(n)
+        v = rng.standard_normal(n + 1)
+        if complex_band:
+            up = up + 1j * rng.standard_normal(n)
+            v = v + 1j * rng.standard_normal(n + 1)
+        up *= rho / skew_norm1(up)
+        g = np.diag(up, -1) - np.diag(np.conj(up), 1)
+        return up, v / np.linalg.norm(v), g
+
+    @pytest.mark.parametrize("complex_band", [False, True])
+    @pytest.mark.parametrize("n,rho", [(20, 1e-6), (40, 3.0), (60, 300.0)])
+    def test_bands_against_dense_expm(self, complex_band, n, rho):
+        up, v, g = self._band(n, rho, complex_band, seed=n)
+        assert skew_norm1(up) == pytest.approx(rho)
+        got = expm_apply_skew(up, v)
+        assert got.dtype == complex
+        assert np.linalg.norm(got - expm(g) @ v) < 1e-12
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-310, 5e-324])
+    def test_negligible_band_returns_the_vector(self, scale):
+        # on subnormal bands 2/rho overflows and rho/2 underflows; K = 0 needs
+        # neither
+        v = np.array([0.6, 0.0, 0.8j])
+        got = expm_apply_skew(np.full(2, scale), v)
+        assert np.array_equal(got, v)
+        assert got is not v
+
+    def test_bessel_values_at_tiny_argument(self):
+        got = bessel_j(1e-300, 2)
+        assert np.array_equal(got, [1.0, 5e-301, 0.0])
+
+    def test_real_input_stays_real(self, monkeypatch):
+        up, v, _ = self._band(50, 40.0, False, seed=3)
+        assert chebyshev_apply(up, v).dtype == np.float64
+        # complex arrays without imaginary parts take the real path too
+        seen = []
+
+        def spy(up, v, tol):
+            seen.append((up.dtype, v.dtype))
+            return chebyshev_apply(up, v, tol)
+
+        monkeypatch.setattr(_expm, "chebyshev_apply", spy)
+        got = expm_apply_skew(up.astype(complex), v.astype(complex))
+        assert seen == [(np.float64, np.float64)]
+        assert got.dtype == complex
+
+    def test_large_displacement_matches_the_family(self):
+        # the Taylor-substep propagator deviated by 1.503e-9 here, on n_max 4096
+        v = su11_displace(3.0, 0)
+        target = nbs(NBSParams(sech_squared(3.0), 0))
+        assert v.n_max == target.n_max
+        assert np.linalg.norm(v.amplitudes - target.amplitudes) < 1.51e-9
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        rho=st.floats(0.0, 500.0),
+        complex_band=st.booleans(),
+        tol=st.sampled_from([1e-15, 1e-13, 1e-10, 1e-6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_bands_within_tol(self, n, rho, complex_band, tol, seed):
+        up, v, g = self._band(n, rho, complex_band, seed)
+        got = expm_apply_skew(up, v, tol)
+        # dense expm rounds at about rho * eps on its own
+        slack = tol + 1e-14 * max(rho, 1.0)
+        assert np.linalg.norm(got - expm(g) @ v) < slack
+        assert abs(np.linalg.norm(got) - 1.0) < slack
 
     def test_series_matches_dense(self):
         rng = np.random.default_rng(5)
