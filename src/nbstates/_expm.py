@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .fock import ConvergenceError, TruncationError, tail_mass_nbs
+from .fock import ConvergenceError, TruncationError
 
 __all__ = [
     "apply_series",
@@ -32,7 +32,6 @@ __all__ = [
     "chebyshev_apply",
     "chebyshev_terms",
     "expm_apply_skew",
-    "expm_apply_skew_bounded",
     "expm_apply_skew_batch",
     "skew_norm1",
     "taylor_terms",
@@ -188,18 +187,6 @@ def boundary_mass(out: np.ndarray, tail_eps: float, what: str) -> float:
             f"truncation too small for {what}: boundary mass {boundary:.3e}"
         )
     return boundary
-
-
-def expm_apply_skew_bounded(up: np.ndarray, v: np.ndarray, eta: float, m: int,
-                            tail_eps: float, what: str) -> tuple[np.ndarray, float]:
-    """exp(G) v on a basis sized for NB(eta, m), with its truncation bound.
-
-    The bound is the ``boundary_mass`` (checked against tail_eps) plus the
-    NB(eta, m) tail above the basis.
-    """
-    out = expm_apply_skew(up, v)
-    boundary = boundary_mass(out, tail_eps, what)
-    return out, tail_mass_nbs(eta, m, len(out) - 1) + boundary
 
 
 def expm_apply_skew_batch(up: np.ndarray, V: np.ndarray, s: int,

@@ -255,14 +255,10 @@ def parse_config(argv) -> RunConfig:
     )
 
 
-def _g17(x: float) -> str:
-    # + 0.0 folds negative zero into plain zero
-    return "%.17g" % (float(x) + 0.0)
-
-
 def _csv_rows(table: np.ndarray) -> list[str]:
-    """One line of %.17g fields per row of a 2-D float array, as ``_g17``."""
+    """One line of %.17g fields per row of a 2-D float array."""
     line = ",".join(["%.17g"] * table.shape[1])
+    # + 0.0 folds negative zero into plain zero
     return [line % tuple(row + 0.0) for row in table]
 
 
@@ -293,19 +289,25 @@ def _json_text(payload: dict, arrays: dict) -> str:
     return text + "\n"
 
 
+def _table_text(payload: dict, columns: dict, fmt: str) -> str:
+    """Named float columns of one length, as JSON or as CSV.
+
+    JSON puts the columns beside ``payload``; CSV writes a "# key=value ..."
+    line for a nonempty ``payload``, a "# name,..." header and the rows.
+    """
+    if fmt == "json":
+        return _json_text(payload, columns)
+    lines = ["# " + " ".join(f"{k}={v}" for k, v in payload.items())] if payload else []
+    lines += ["# " + ",".join(columns)] + _csv_rows(np.column_stack(list(columns.values())))
+    return "\n".join(lines) + "\n"
+
+
 def _grid_text(grid, fmt: str) -> str:
     if fmt == "json":
-        payload = {
-            "x_min": grid.x_min, "x_max": grid.x_max,
-            "y_min": grid.y_min, "y_max": grid.y_max,
-            "nx": grid.nx, "ny": grid.ny,
-            "riemann_sum": grid.riemann_sum,
-        }
+        payload = {k: v for k, v in vars(grid).items() if k != "values"}
         return _json_text(payload, {"values": grid.values})
-    header = "# " + ",".join(
-        [_g17(grid.x_min), _g17(grid.x_max), _g17(grid.y_min), _g17(grid.y_max),
-         str(grid.nx), str(grid.ny)]
-    )
+    window = [[grid.x_min, grid.x_max, grid.y_min, grid.y_max, grid.nx, grid.ny]]
+    header = "# " + _csv_rows(np.array(window))[0]
     return "\n".join([header] + _csv_rows(grid.values)) + "\n"
 
 
@@ -333,30 +335,27 @@ def _stats_text(config: RunConfig) -> str:
     report = stats_report(
         config.eta, config.m, TruncationPolicy(tail_eps=config.tail_eps)
     )
-    if config.fmt == "json":
-        payload = {
-            "eta": report.eta,
-            "m": report.m,
-            "mean": report.f1,
-            "second_factorial_moment": report.f2,
-            "mandel_q": report.mandel_q_closed,
-            "mandel_q_numeric": report.mandel_q_numeric,
-            "sub_poissonian_threshold": report.sub_poissonian_threshold,
-            "degenerate_vacuum": report.degenerate_vacuum,
-            "generating_function": {
-                "%g" % lam: val
-                for lam, val in sorted(report.generating_function_values.items())
-            },
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    header = ("# eta,m,mean,second_factorial_moment,mandel_q,"
-              "mandel_q_numeric,sub_poissonian_threshold")
-    row = ",".join(
-        [_g17(report.eta), str(report.m), _g17(report.f1), _g17(report.f2),
-         _g17(report.mandel_q_closed), _g17(report.mandel_q_numeric),
-         _g17(report.sub_poissonian_threshold)]
-    )
-    return header + "\n" + row + "\n"
+    row = {
+        "eta": report.eta,
+        "m": report.m,
+        "mean": report.f1,
+        "second_factorial_moment": report.f2,
+        "mandel_q": report.mandel_q_closed,
+        "mandel_q_numeric": report.mandel_q_numeric,
+        "sub_poissonian_threshold": report.sub_poissonian_threshold,
+    }
+    if config.fmt == "csv":
+        return _table_text({}, {key: [value] for key, value in row.items()}, "csv")
+    # the generating-function object is no table: the report stays json.dumps
+    payload = {
+        **row,
+        "degenerate_vacuum": report.degenerate_vacuum,
+        "generating_function": {
+            "%g" % lam: val
+            for lam, val in sorted(report.generating_function_values.items())
+        },
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _squeeze_text(config: RunConfig) -> str:
@@ -368,11 +367,7 @@ def _squeeze_text(config: RunConfig) -> str:
     scan = squeezing_scan([config.m], etas, policy)
     columns = {"eta": scan.eta_values, "mean_a": scan.mean_a[0],
                "mean_a2": scan.mean_a2[0], "var_x": scan.var_x[0], "var_y": scan.var_y[0]}
-    if config.fmt == "json":
-        return _json_text({"m": config.m}, columns)
-    lines = [f"# m={config.m}", "# " + ",".join(columns)]
-    lines += _csv_rows(np.column_stack(list(columns.values())))
-    return "\n".join(lines) + "\n"
+    return _table_text({"m": config.m}, columns, config.fmt)
 
 
 def _grid_command_text(config: RunConfig) -> str:
@@ -404,20 +399,11 @@ def _evolve_text(config: RunConfig) -> str:
         rows.append(
             (chi_t, fidelity(v, target), float(np.linalg.norm(v.amplitudes)))
         )
-    if config.fmt == "json":
-        payload = {
-            "scheme": config.scheme,
-            "chi_t": [r[0] for r in rows],
-            "fidelity": [r[1] for r in rows],
-            "norm": [r[2] for r in rows],
-        }
-        if config.scheme == "intensity":
-            payload["m"] = m
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    lines = [f"# scheme={config.scheme}" + (f" m={m}" if config.scheme == "intensity" else ""),
-             "# chi_t,fidelity,norm"]
-    lines += [",".join(_g17(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    payload = {"scheme": config.scheme}
+    if config.scheme == "intensity":
+        payload["m"] = m
+    columns = dict(zip(("chi_t", "fidelity", "norm"), np.array(rows).T))
+    return _table_text(payload, columns, config.fmt)
 
 
 def run(config: RunConfig) -> int:

@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._expm import expm_apply_skew_bounded
-from .fock import FockVector, TruncationPolicy, inner_product, pad_to, tail_mass_nbs
-from .states import PairBasisVector, choose_n_max
-from .su11 import sech_squared, su11_displace
+from .fock import FockVector, TruncationPolicy, check_domain, tail_mass_nbs
+from .states import PairBasisVector
+from .su11 import orbit, su11_displace
 
 __all__ = [
     "EvolutionSpec",
@@ -45,10 +44,7 @@ class EvolutionSpec:
     policy: TruncationPolicy = field(default_factory=TruncationPolicy)
 
     def __post_init__(self):
-        if not (math.isfinite(self.chi_t) and self.chi_t >= 0.0):
-            raise ValueError(f"chi_t must be a finite nonnegative real, got {self.chi_t}")
-        if self.m < 0 or int(self.m) != self.m:
-            raise ValueError(f"m must be a nonnegative integer, got {self.m}")
+        check_domain(chi_t=self.chi_t, m=self.m)
 
 
 def evolve_intensity_dependent(spec: EvolutionSpec) -> FockVector:
@@ -66,17 +62,9 @@ def evolve_parametric(
     two_mode_geometric(sech^2(chi t)).
     """
     policy = policy or TruncationPolicy()
-    if not (math.isfinite(chi_t) and chi_t >= 0.0):
-        raise ValueError(f"chi_t must be a finite nonnegative real, got {chi_t}")
-    eta_target = sech_squared(chi_t)
-    n_max = choose_n_max(eta_target, 0, policy)
-    v0 = np.zeros(n_max + 1, dtype=complex)
-    v0[0] = 1.0
-    up = chi_t * np.arange(1.0, n_max + 1.0)
-    out, bound = expm_apply_skew_bounded(
-        up, v0, eta_target, 0, policy.tail_eps, f"chi_t={chi_t}"
-    )
-    return PairBasisVector(out, 0, n_max, bound, eta_target)
+    check_domain(chi_t=chi_t)
+    out, bound, eta = orbit(chi_t, 0, policy, f"chi_t={chi_t}")
+    return PairBasisVector(out, 0, len(out) - 1, bound, eta)
 
 
 def atom_passage(
@@ -94,8 +82,7 @@ def atom_passage(
     """
     if not 0.0 < g_t <= 0.1:
         raise ValueError(f"g_t must satisfy 0 < g_t <= 0.1, got {g_t}")
-    if m_photon < 1 or int(m_photon) != m_photon:
-        raise ValueError(f"m_photon must be a positive integer, got {m_photon}")
+    check_domain(m_photon=m_photon)
     amps = np.array(state.amplitudes, dtype=complex)
     n = np.arange(state.n_max + 1, dtype=float)
     # (a1†)^m on |offset+n, n>: pure amplitude factors, no index shift
@@ -115,21 +102,15 @@ def atom_passage(
 
 
 def fidelity(a, b) -> float:
-    """|<a|b>|^2 for two states in the same representation."""
-    if isinstance(a, FockVector) and isinstance(b, FockVector):
-        top = max(a.n_max, b.n_max)
-        return abs(inner_product(pad_to(a, top), pad_to(b, top))) ** 2
-    if isinstance(a, PairBasisVector) and isinstance(b, PairBasisVector):
-        if a.offset_m != b.offset_m:
-            raise ValueError(
-                f"pair-basis offset mismatch: {a.offset_m} vs {b.offset_m}"
-            )
-        top = max(a.n_max, b.n_max)
-        av = np.zeros(top + 1, dtype=complex)
-        bv = np.zeros(top + 1, dtype=complex)
-        av[: a.n_max + 1] = a.amplitudes
-        bv[: b.n_max + 1] = b.amplitudes
-        return float(abs(np.vdot(av, bv)) ** 2)
-    raise TypeError(
-        f"cannot compare {type(a).__name__} with {type(b).__name__}"
-    )
+    """|<a|b>|^2 for two states in the same representation.
+
+    The shorter amplitude array is zero-padded to the longer basis.
+    """
+    kinds = (FockVector, PairBasisVector)
+    if not any(isinstance(a, k) and isinstance(b, k) for k in kinds):
+        raise TypeError(f"cannot compare {type(a).__name__} with {type(b).__name__}")
+    if isinstance(a, PairBasisVector) and a.offset_m != b.offset_m:
+        raise ValueError(f"pair-basis offset mismatch: {a.offset_m} vs {b.offset_m}")
+    top = max(a.n_max, b.n_max)
+    av, bv = (np.pad(v.amplitudes, (0, top - v.n_max)) for v in (a, b))
+    return float(abs(np.vdot(av, bv)) ** 2)

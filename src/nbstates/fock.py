@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import index
 
 import numpy as np
 
@@ -21,12 +22,39 @@ __all__ = [
     "apply_annihilation",
     "apply_creation",
     "apply_diag",
+    "check_domain",
     "inner_product",
     "norm",
     "normalized",
     "pad_to",
     "tail_mass_nbs",
 ]
+
+
+# each parameter's domain: a predicate and the requirement an error names;
+# operator.index takes Python and numpy integers and raises TypeError for
+# 2.0 or 1.5, which fails the check as any value of the wrong type does
+_DOMAINS = {
+    "eta": (lambda v: 0.0 < v <= 1.0, "be in (0, 1]"),
+    "chi_t": (lambda v: math.isfinite(v) and v >= 0.0, "be a finite nonnegative real"),
+    "s": (lambda v: -1.0 <= v <= 0.0, "lie in [-1, 0]"),
+    **dict.fromkeys(("m", "offset_m", "n", "k", "k_max"),
+                    (lambda v: index(v) >= 0, "be a nonnegative integer")),
+    **dict.fromkeys(("nx", "ny"), (lambda v: index(v) >= 2, "be an integer >= 2")),
+    "m_photon": (lambda v: index(v) >= 1, "be a positive integer"),
+}
+
+
+def check_domain(**values) -> None:
+    """Raise ValueError naming the first of ``values`` outside its ``_DOMAINS`` entry."""
+    for name, value in values.items():
+        ok, need = _DOMAINS[name]
+        try:
+            inside = ok(value)
+        except TypeError:
+            inside = False
+        if not inside:
+            raise ValueError(f"{name} must {need}, got {value}")
 
 
 class TruncationError(RuntimeError):
@@ -164,10 +192,7 @@ def tail_mass_nbs(eta: float, m: int, n_max: int) -> float:
     lies above the mode, and 1 when it lies at or below it, where the
     terms still grow.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+    check_domain(eta=eta, m=m)
     if eta == 1.0:
         return 0.0 if n_max >= m else 1.0
     if n_max < m:

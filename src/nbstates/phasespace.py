@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ._expm import boundary_mass, expm_apply_skew
-from .fock import ConvergenceError, FockVector, TruncationError, TruncationPolicy
+from .fock import (ConvergenceError, FockVector, TruncationError, TruncationPolicy,
+                   check_domain)
 from .states import NBSParams
 
 __all__ = [
@@ -99,8 +100,7 @@ class GridSpec:
                 raise ValueError("grid bounds must be finite")
         if self.x_max < self.x_min or self.y_max < self.y_min:
             raise ValueError("grid bounds must satisfy max >= min")
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError(f"need nx, ny >= 2, got ({self.nx}, {self.ny})")
+        check_domain(nx=self.nx, ny=self.ny)
 
     def xs(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.nx)
@@ -137,16 +137,7 @@ class PhaseSpaceGrid:
                 f"({self.ny}, {self.nx})"
             )
 
-    def xs(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.nx)
-
-    def ys(self) -> np.ndarray:
-        return np.linspace(self.y_min, self.y_max, self.ny)
-
-    def spec(self) -> GridSpec:
-        return GridSpec(
-            self.x_min, self.x_max, self.y_min, self.y_max, self.nx, self.ny
-        )
+    xs, ys = GridSpec.xs, GridSpec.ys
 
 
 def displacement_matrix_element(n: int, k: int, beta: complex) -> complex:
@@ -157,8 +148,7 @@ def displacement_matrix_element(n: int, k: int, beta: complex) -> complex:
     Kronecker delta.  Intended for moderate min(n, k); the distribution
     engines never call this.
     """
-    if n < 0 or k < 0 or int(n) != n or int(k) != k:
-        raise ValueError(f"n and k must be nonnegative integers, got ({n}, {k})")
+    check_domain(n=n, k=k)
     beta = complex(beta)
     if beta == 0:
         return 1.0 + 0.0j if n == k else 0.0 + 0.0j
@@ -188,8 +178,6 @@ def _workspace_size(n_top: int, x: float) -> int:
 def _displace(amps, delta: complex, tol: float = 1e-13) -> np.ndarray:
     """exp(delta a† - delta* a) applied to a workspace amplitude array."""
     w = len(amps) - 1
-    if delta == 0:
-        return np.asarray(amps, dtype=complex).copy()
     up = delta * np.sqrt(np.arange(1.0, w + 1.0))
     return expm_apply_skew(up, amps, tol=tol)
 
@@ -208,13 +196,19 @@ def _displaced_probabilities(state: FockVector, beta: complex) -> np.ndarray:
     return np.abs(phi) ** 2
 
 
-def _series_value(q: np.ndarray, s: float, k_max: int | None) -> float:
-    """Alternating weighted sum over q_k with the rigorous tail stop.
+def _point_value(state: FockVector, p: PhaseSpacePoint, s: float, k_max) -> float:
+    """Alternating weighted sum over q_k(beta) with the rigorous tail stop.
 
-    Remaining mass past k is at most 1 - cum(q_k) since sum_k q_k is the
-    squared norm; the weight envelope multiplies it by u^(k+1)/(1-s).
-    k_max None lets the sum run over every q_k given.
+    The one body of ``wigner`` and ``s_distribution``; neither calls the
+    other.  Remaining mass past k is at most 1 - cum(q_k) since sum_k q_k
+    is the squared norm; the weight envelope multiplies it by
+    u^(k+1)/(1-s).  k_max None lets the sum run over every q_k given.
     """
+    if k_max is not None:
+        check_domain(k_max=k_max)
+    beta = p.beta
+    # exact limit at beta = 0: the displaced-number overlaps collapse to |c_k|^2
+    q = state.probabilities() if beta == 0 else _displaced_probabilities(state, beta)
     u = (1.0 + s) / (1.0 - s)
     cap = len(q) - 1 if k_max is None else min(k_max, len(q) - 1)
     cum = 0.0
@@ -240,27 +234,15 @@ def wigner(state: FockVector, p: PhaseSpacePoint, k_max: int | None = None) -> f
 
     By default the sum may run over the whole displaced workspace.
     """
-    beta = p.beta
-    if beta == 0:
-        # exact limit: the displaced-number overlaps collapse to |c_k|^2
-        q = state.probabilities()
-    else:
-        q = _displaced_probabilities(state, beta)
-    return _series_value(q, 0.0, k_max)
+    return _point_value(state, p, 0.0, k_max)
 
 
 def s_distribution(
     state: FockVector, p: PhaseSpacePoint, s: float, k_max: int | None = None
 ) -> float:
     """Quasiprobability at ordering parameter s in [-1, 0]; k_max as in ``wigner``."""
-    if not -1.0 <= s <= 0.0:
-        raise ValueError(f"s must lie in [-1, 0], got {s}")
-    beta = p.beta
-    if beta == 0:
-        q = state.probabilities()
-    else:
-        q = _displaced_probabilities(state, beta)
-    return _series_value(q, s, k_max)
+    check_domain(s=s)
+    return _point_value(state, p, s, k_max)
 
 
 def _overlap_log(c: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -338,8 +320,7 @@ def q_function_closed(params: NBSParams, p: PhaseSpacePoint) -> float:
 
 def displaced_number_state(beta: complex, k: int, n_max: int) -> FockVector:
     """D(beta)|k> truncated to n_max, with the lost mass in tail_bound."""
-    if k < 0 or int(k) != k:
-        raise ValueError(f"k must be a nonnegative integer, got {k}")
+    check_domain(k=k)
     if k > n_max:
         raise ValueError(f"need k <= n_max, got k={k}, n_max={n_max}")
     beta = complex(beta)
@@ -357,11 +338,26 @@ def displaced_number_state(beta: complex, k: int, n_max: int) -> FockVector:
     return FockVector(amps, n_max, leak)
 
 
-def _occupied(c: np.ndarray) -> np.ndarray:
-    """c up to its last nonzero entry; real when no entry has an imaginary part."""
+def _grid_start(state: FockVector, spec: GridSpec, margin: float):
+    """The zero grid, and None or (c, rho_W, sqrt2 xs, sqrt2 ys, cols, rows).
+
+    c runs to the last nonzero amplitude (real when none has an imaginary
+    part); cols and rows index the points within rho_W + margin of 0.
+    """
+    out = np.zeros((spec.ny, spec.nx))
+    c = state.amplitudes
     occupied = np.flatnonzero(c)
-    c = c[: occupied[-1] + 1] if occupied.size else c[:0]
-    return c if np.any(c.imag) else c.real
+    if occupied.size == 0:
+        return out, None
+    c = c[: occupied[-1] + 1]
+    c = c if np.any(c.imag) else c.real
+    rho_w = _support_extent(len(c) - 1)
+    qx, qy = _SQRT2 * spec.xs(), _SQRT2 * spec.ys()
+    cols = np.flatnonzero(np.abs(qx) <= rho_w + margin)
+    rows = np.flatnonzero(np.abs(qy) <= rho_w + margin)
+    if cols.size == 0 or rows.size == 0:
+        return out, None
+    return out, (c, rho_w, qx, qy, cols, rows)
 
 
 def _grid_q(state: FockVector, spec: GridSpec) -> np.ndarray:
@@ -396,17 +392,11 @@ def _grid_q(state: FockVector, spec: GridSpec) -> np.ndarray:
     with |sqrt2 x| or |sqrt2 y| > rho_W + R, which get 0 - drops values
     below the same bounds.  The lattice never grows with the window.
     """
-    out = np.zeros((spec.ny, spec.nx))
-    c = _occupied(state.amplitudes)
-    if c.size == 0:
-        return out
-    rho_w = _support_extent(len(c) - 1)
     reach = math.sqrt(-2.0 * math.log(_GRID_EPS))
-    q0, p0 = _SQRT2 * spec.xs(), _SQRT2 * spec.ys()
-    cols = np.flatnonzero(np.abs(q0) <= rho_w + reach)
-    rows = np.flatnonzero(np.abs(p0) <= rho_w + reach)
-    if cols.size == 0 or rows.size == 0:
+    out, start = _grid_start(state, spec, reach)
+    if start is None:
         return out
+    c, rho_w, q0, p0, cols, rows = start
 
     h = 2.0 * math.pi / (rho_w + float(np.abs(p0[rows]).max()) + reach)
     j_top = math.floor((rho_w + h) / h)
@@ -538,17 +528,12 @@ def _grid_walk(state: FockVector, spec: GridSpec, s: float) -> np.ndarray:
     the lattice never grows with the window: it spans |q| <= rho only.
     """
     t = -float(s)
-    out = np.zeros((spec.ny, spec.nx))
-    c = _occupied(state.amplitudes)
-    if c.size == 0:
+    margin = math.sqrt(t * math.log(4.0 / (math.pi * _GRID_EPS)))
+    out, start = _grid_start(state, spec, margin)
+    if start is None:
         return out
-    rho_w = _support_extent(len(c) - 1)
-    rho = rho_w + math.sqrt(t * math.log(4.0 / (math.pi * _GRID_EPS)))
-    qx, qy = _SQRT2 * spec.xs(), _SQRT2 * spec.ys()
-    cols = np.flatnonzero(np.abs(qx) <= rho)
-    rows = np.flatnonzero(np.abs(qy) <= rho)
-    if cols.size == 0 or rows.size == 0:
-        return out
+    c, rho_w, qx, qy, cols, rows = start
+    rho = rho_w + margin
 
     h_max = math.pi / (rho + float(np.abs(qy[rows]).max()))
     if t > 0.0:
@@ -640,21 +625,11 @@ def grid_evaluate(
     elif kind == "S":
         if s is None:
             raise ValueError("kind 'S' requires the ordering parameter s")
-        if not -1.0 <= s <= 0.0:
-            raise ValueError(f"s must lie in [-1, 0], got {s}")
+        check_domain(s=s)
         values = _grid_walk(state, spec, float(s))
     else:
         raise ValueError(f"unknown grid kind {kind!r}; expected Q, W, or S")
     dx = (spec.x_max - spec.x_min) / (spec.nx - 1)
     dy = (spec.y_max - spec.y_min) / (spec.ny - 1)
     riemann = float(values.sum() * dx * dy)
-    return PhaseSpaceGrid(
-        spec.x_min,
-        spec.x_max,
-        spec.y_min,
-        spec.y_max,
-        spec.nx,
-        spec.ny,
-        values,
-        riemann,
-    )
+    return PhaseSpaceGrid(**asdict(spec), values=values, riemann_sum=riemann)

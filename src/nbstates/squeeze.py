@@ -8,9 +8,11 @@ variances reduce to
     var_x = 1/4 + (<N> + <a^2> - 2<a>^2) / 2
     var_y = 1/4 + (<N> - <a^2>) / 2
 
-The scan sweeps eta for each m with one shared basis per eta block and
-cumprod-built amplitude matrices, so a thousand-point grid per m costs
-milliseconds.
+One kernel, ``_moments``, sums the moments and variances over the last
+axis of an amplitude array: one state's amplitudes, or a block of rows.
+The scan sweeps eta for each m with one shared basis per eta block, its
+rows built by ``states.nbs_amplitudes`` from the whole block of eta
+values at once, so a thousand-point grid per m costs milliseconds.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, TruncationPolicy
-from .states import choose_n_max
+from .fock import FockVector, TruncationPolicy, check_domain
+from .states import choose_n_max, nbs_amplitudes
 from .stats import find_sign_change
 
 __all__ = [
@@ -67,37 +69,47 @@ class VarianceSample:
             )
 
 
+def _moments(c: np.ndarray):
+    """<a>, <a^2>, var_x and var_y of the amplitudes c along the last axis.
+
+    <a> = sum sqrt(n+1) c_n* c_{n+1} and the matching <a^2>, each over
+    the squared norm; complex for complex c, whose variances use their
+    real parts.
+    """
+    n = np.arange(c.shape[-1], dtype=float)
+    if np.iscomplexobj(c):
+        cc, p = np.conj(c), np.abs(c) ** 2
+    else:
+        cc, p = c, c * c
+    nrm2 = p.sum(axis=-1)
+    mean_n = (n * p).sum(axis=-1) / nrm2
+    mean_a = (np.sqrt(n[1:]) * cc[..., :-1] * c[..., 1:]).sum(axis=-1) / nrm2
+    w2 = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
+    mean_a2 = (w2 * cc[..., :-2] * c[..., 2:]).sum(axis=-1) / nrm2
+    var_x = 0.25 + (mean_n + mean_a2.real - 2.0 * mean_a.real**2) / 2.0
+    var_y = 0.25 + (mean_n - mean_a2.real) / 2.0
+    return mean_a, mean_a2, var_x, var_y
+
+
 def field_moments(state: FockVector) -> tuple[complex, complex]:
     """Raw sums <a> = sum sqrt(n+1) c_n* c_{n+1} and the matching <a^2>.
 
     Returned as complex; every state family in this package yields real
     values, and quadrature_variances enforces that.
     """
-    c = state.amplitudes
-    n = np.arange(len(c), dtype=float)
-    mean_a = np.sum(np.sqrt(n[1:]) * np.conj(c[:-1]) * c[1:])
-    mean_a2 = np.sum(
-        np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0)) * np.conj(c[:-2]) * c[2:]
-    )
-    nrm2 = float(np.sum(np.abs(c) ** 2))
-    return complex(mean_a / nrm2), complex(mean_a2 / nrm2)
+    a1, a2, _, _ = _moments(state.amplitudes)
+    return complex(a1), complex(a2)
 
 
 def quadrature_variances(state: FockVector) -> tuple[float, float]:
     """(var_x, var_y) from the number and field moments of the state."""
-    a1, a2 = field_moments(state)
+    a1, a2, var_x, var_y = _moments(state.amplitudes)
     if abs(a1.imag) > 1e-10 or abs(a2.imag) > 1e-10:
         raise ValueError(
             f"field moments have imaginary parts ({a1.imag}, {a2.imag}); "
             "quadrature variances here assume real moments"
         )
-    c = state.amplitudes
-    n = np.arange(len(c), dtype=float)
-    p = np.abs(c) ** 2
-    mean_n = float(np.sum(n * p) / np.sum(p))
-    var_x = 0.25 + (mean_n + a2.real - 2.0 * a1.real**2) / 2.0
-    var_y = 0.25 + (mean_n - a2.real) / 2.0
-    return var_x, var_y
+    return float(var_x), float(var_y)
 
 
 def nbs_field_moments_series(eta: float, m: int) -> tuple[float, float]:
@@ -107,10 +119,7 @@ def nbs_field_moments_series(eta: float, m: int) -> tuple[float, float]:
     term-by-term, with a geometric stopping rule.  Intended as an oracle
     for m <= a few tens and eta >= 0.01.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
-    if m < 0 or int(m) != m:
-        raise ValueError(f"m must be a nonnegative integer, got {m}")
+    check_domain(eta=eta, m=m)
     if eta == 1.0:
         return 0.0, 0.0
     q = 1.0 - eta
@@ -145,24 +154,7 @@ def nbs_field_moments_series(eta: float, m: int) -> tuple[float, float]:
 def _variance_block(m: int, etas: np.ndarray, policy: TruncationPolicy):
     """Vectorized variances for one m over a block of eta values."""
     n_max = choose_n_max(float(etas.min()), m, policy)
-    b = len(etas)
-    c = np.zeros((b, n_max + 1))
-    c[:, m] = etas ** ((m + 1) / 2)
-    if n_max > m:
-        n = np.arange(m, n_max, dtype=float)
-        base = np.sqrt((n + 1.0) / (n + 1.0 - m))
-        ratios = base[None, :] * np.sqrt(1.0 - etas)[:, None]
-        c[:, m + 1 :] = c[:, m, None] * np.cumprod(ratios, axis=1)
-    nn = np.arange(n_max + 1, dtype=float)
-    p = c * c
-    nrm2 = p.sum(axis=1)
-    mean_n = (nn * p).sum(axis=1) / nrm2
-    mean_a = (np.sqrt(nn[1:]) * c[:, :-1] * c[:, 1:]).sum(axis=1) / nrm2
-    w2 = np.sqrt((nn[:-2] + 1.0) * (nn[:-2] + 2.0))
-    mean_a2 = (w2 * c[:, :-2] * c[:, 2:]).sum(axis=1) / nrm2
-    var_x = 0.25 + (mean_n + mean_a2 - 2.0 * mean_a**2) / 2.0
-    var_y = 0.25 + (mean_n - mean_a2) / 2.0
-    return mean_a, mean_a2, var_x, var_y
+    return _moments(nbs_amplitudes(etas, m, n_max))
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,9 +186,6 @@ class SqueezeScan:
     def min_var_y(self) -> np.ndarray:
         return self.var_y.min(axis=1)
 
-    def row(self, m: int) -> int:
-        return self.m_values.index(m)
-
 
 def squeezing_scan(
     m_values, eta_values, policy: TruncationPolicy | None = None
@@ -211,11 +200,13 @@ def squeezing_scan(
     etas = np.asarray(eta_values, dtype=float)
     if etas.ndim != 1 or len(etas) == 0:
         raise ValueError("eta_values must be a nonempty 1-d sequence")
-    if np.any(etas <= 0.0) or np.any(etas > 1.0):
-        raise ValueError("eta values must lie in (0, 1]")
+    outside = etas[~((etas > 0.0) & (etas <= 1.0))]
+    if outside.size:
+        check_domain(eta=float(outside[0]))
+    m_values = tuple(m_values)
+    for m in m_values:
+        check_domain(m=m)
     m_values = tuple(int(m) for m in m_values)
-    if any(m < 0 for m in m_values):
-        raise ValueError("m values must be nonnegative")
     order = np.argsort(etas, kind="stable")
     shape = (len(m_values), len(etas))
     out = {k: np.empty(shape) for k in ("mean_a", "mean_a2", "var_x", "var_y")}
@@ -223,11 +214,8 @@ def squeezing_scan(
     for i, m in enumerate(m_values):
         for lo in range(0, len(etas), block):
             idx = order[lo : lo + block]
-            a1, a2, vx, vy = _variance_block(m, etas[idx], policy)
-            out["mean_a"][i, idx] = a1
-            out["mean_a2"][i, idx] = a2
-            out["var_x"][i, idx] = vx
-            out["var_y"][i, idx] = vy
+            for table, values in zip(out.values(), _variance_block(m, etas[idx], policy)):
+                table[i, idx] = values
     return SqueezeScan(m_values, etas, **out)
 
 
@@ -236,10 +224,8 @@ def variances_at(
 ) -> VarianceSample:
     """Single-point sample through the same path as the scan."""
     policy = policy or SCAN_POLICY
-    a1, a2, vx, vy = _variance_block(m, np.array([eta]), policy)
-    return VarianceSample(
-        eta, m, float(a1[0]), float(a2[0]), float(vx[0]), float(vy[0])
-    )
+    values = _variance_block(m, np.array([eta]), policy)
+    return VarianceSample(eta, m, *(float(v[0]) for v in values))
 
 
 def default_eta_grid(lo: float = 0.01, hi: float = 0.999, step: float = 1e-3):

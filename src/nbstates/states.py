@@ -16,6 +16,7 @@ from .fock import (
     TruncationError,
     TruncationPolicy,
     apply_creation,
+    check_domain,
     normalized,
     tail_mass_nbs,
 )
@@ -46,10 +47,7 @@ class NBSParams:
     m: int
 
     def __post_init__(self):
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if self.m < 0 or int(self.m) != self.m:
-            raise ValueError(f"m must be a nonnegative integer, got {self.m}")
+        check_domain(eta=self.eta, m=self.m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,20 +65,13 @@ class PairBasisVector:
     eta: float | None = None
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.ndim != 1 or len(amps) != self.n_max + 1:
-            raise ValueError("amplitudes length does not match n_max")
-        if self.offset_m < 0:
-            raise ValueError("offset_m must be nonnegative")
-        if self.tail_bound < 0:
-            raise ValueError("tail_bound must be nonnegative")
-        if self.eta is not None and not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
+        # amplitudes, n_max and tail_bound are checked as a FockVector's
+        FockVector.__post_init__(self)
+        check_domain(offset_m=self.offset_m)
+        if self.eta is not None:
+            check_domain(eta=self.eta)
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+    probabilities = FockVector.probabilities
 
 
 def sharpened(policy: TruncationPolicy) -> TruncationPolicy:
@@ -110,19 +101,23 @@ def choose_n_max(eta: float, m: int, policy: TruncationPolicy) -> int:
         n *= 2
 
 
-def nbs_amplitudes(eta: float, m: int, n_max: int) -> np.ndarray:
+def nbs_amplitudes(eta, m: int, n_max: int) -> np.ndarray:
     """Raw coefficient array c_n = [C(n,m) eta^(m+1) (1-eta)^(n-m)]^(1/2).
 
     Built by the stable ratio recursion
     c_{n+1}/c_n = sqrt((n+1)/(n+1-m)) * sqrt(1-eta),
-    which never forms a large binomial coefficient.
+    which never forms a large binomial coefficient.  eta is a float, or
+    a 1-D array with one row of coefficients per value.
     """
-    c = np.zeros(n_max + 1)
-    c[m] = eta ** ((m + 1) / 2)
+    c = np.zeros(np.shape(eta) + (n_max + 1,))
+    # Python pow for a float eta, numpy pow for an array: the two can
+    # differ in the last bit, and each caller keeps its own
+    c[..., m] = eta ** ((m + 1) / 2)
     if n_max > m:
         n = np.arange(m, n_max, dtype=float)
-        ratios = np.sqrt((n + 1.0) / (n + 1.0 - m)) * np.sqrt(1.0 - eta)
-        c[m + 1 :] = c[m] * np.cumprod(ratios)
+        step = np.sqrt(1.0 - np.asarray(eta))[..., None]
+        ratios = np.sqrt((n + 1.0) / (n + 1.0 - m)) * step
+        c[..., m + 1 :] = c[..., m, None] * np.cumprod(ratios, axis=-1)
     return c
 
 
@@ -157,8 +152,7 @@ def excited_geometric(
     dropped along the way understate.
     """
     policy = policy or TruncationPolicy()
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+    check_domain(m=m)
     v = geometric_state(eta, sharpened(policy))
     for _ in range(m):
         v = apply_creation(v)
@@ -169,7 +163,8 @@ def excited_geometric(
 
 def number_state(m: int, n_max: int) -> FockVector:
     """Basis ket |m> on a basis of size n_max + 1."""
-    if not 0 <= m <= n_max:
+    check_domain(m=m)
+    if m > n_max:
         raise ValueError(f"need 0 <= m <= n_max, got m={m}, n_max={n_max}")
     c = np.zeros(n_max + 1)
     c[m] = 1.0
@@ -180,8 +175,7 @@ def two_mode_geometric(
     eta: float, policy: TruncationPolicy | None = None
 ) -> PairBasisVector:
     """Two-mode state with geometric amplitudes on the diagonal |n, n>."""
-    g = geometric_state(eta, policy)
-    return PairBasisVector(g.amplitudes, 0, g.n_max, g.tail_bound, eta)
+    return two_mode_nbs(eta, 0, policy)
 
 
 def two_mode_nbs(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockVector, TruncationPolicy
+from .fock import FockVector, TruncationPolicy, check_domain
 from .states import NBSParams, nbs, sharpened
 
 __all__ = [
@@ -35,6 +35,7 @@ def generating_function(lam: float, eta: float, m: int) -> float:
     Closed form lam^m * (eta / (1 + lam*eta - lam))^(m+1); the base must
     stay positive, which fails once lam*(1-eta) >= 1.
     """
+    check_domain(eta=eta, m=m)
     base = 1.0 + lam * eta - lam
     if base <= 0.0:
         raise ValueError(
@@ -45,6 +46,7 @@ def generating_function(lam: float, eta: float, m: int) -> float:
 
 def factorial_moments(eta: float, m: int) -> tuple[float, float]:
     """First two factorial moments <N> and <N(N-1)> of NB(eta, m)."""
+    check_domain(eta=eta, m=m)
     f1 = (m + 1) / eta - 1.0
     f2 = (m + 2) * (m + 1) / eta**2 - 4 * (m + 1) / eta + 2.0
     return f1, f2
@@ -56,6 +58,7 @@ def mandel_q(eta: float, m: int) -> float:
     The (eta=1, m=0) point is the vacuum where Q is undefined; it is
     reported as 0.0 and flagged by stats_report.
     """
+    check_domain(eta=eta, m=m)
     if eta == 1.0 and m == 0:
         return 0.0
     return (eta**2 - 2 * (m + 1) * eta + m + 1) / (eta * (m + 1 - eta))
@@ -78,8 +81,7 @@ def sub_poissonian_threshold(m: int) -> float:
     Algebraically m + 1 - sqrt(m(m+1)); evaluated in the rational form
     (m+1) / (m + 1 + sqrt(m(m+1))) which loses no significance at large m.
     """
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+    check_domain(m=m)
     return (m + 1) / (m + 1 + math.sqrt(m * (m + 1.0)))
 
 

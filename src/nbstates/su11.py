@@ -12,11 +12,10 @@ orbit of |m> under exp(xi (K+ - K-)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._expm import apply_series, expm_apply_skew_bounded
+from ._expm import apply_series, boundary_mass, expm_apply_skew
 from .fock import (
     FockVector,
     TruncationError,
@@ -24,11 +23,12 @@ from .fock import (
     apply_annihilation,
     apply_creation,
     apply_diag,
+    check_domain,
+    tail_mass_nbs,
 )
 from .states import NBSParams, choose_n_max, nbs, sharpened
 
 __all__ = [
-    "SU11Generators",
     "disentangle_check",
     "k_minus",
     "k_plus",
@@ -57,8 +57,7 @@ def sech_squared(xi: float) -> float:
 
 
 def _check_subspace(v: FockVector, m: int) -> None:
-    if m < 0 or int(m) != m:
-        raise ValueError(f"m must be a nonnegative integer, got {m}")
+    check_domain(m=m)
     if m > 0 and np.any(v.amplitudes[:m] != 0):
         n_bad = int(np.argmax(np.abs(v.amplitudes[:m]) > 0))
         raise ValueError(
@@ -82,33 +81,8 @@ def k_minus(v: FockVector, m: int) -> FockVector:
 
 def k_zero(v: FockVector, m: int) -> FockVector:
     """K0 v = (N - (m - 1)/2) v."""
-    if m < 0 or int(m) != m:
-        raise ValueError(f"m must be a nonnegative integer, got {m}")
+    check_domain(m=m)
     return apply_diag(v, lambda n: n - (m - 1) / 2)
-
-
-@dataclass(frozen=True)
-class SU11Generators:
-    """The algebra bound to one subspace label m (Bargmann k = (m+1)/2)."""
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 0 or int(self.m) != self.m:
-            raise ValueError(f"m must be a nonnegative integer, got {self.m}")
-
-    @property
-    def bargmann_k(self) -> float:
-        return (self.m + 1) / 2
-
-    def plus(self, v: FockVector) -> FockVector:
-        return k_plus(v, self.m)
-
-    def minus(self, v: FockVector) -> FockVector:
-        return k_minus(v, self.m)
-
-    def zero(self, v: FockVector) -> FockVector:
-        return k_zero(v, self.m)
 
 
 def _raising_band(m: int, n_max: int) -> np.ndarray:
@@ -139,19 +113,28 @@ def su11_displace(
     tail budget raises TruncationError.
     """
     policy = policy or TruncationPolicy()
-    if m < 0 or int(m) != m:
-        raise ValueError(f"m must be a nonnegative integer, got {m}")
+    check_domain(m=m)
     if not math.isfinite(xi):
         raise ValueError(f"xi must be finite, got {xi}")
-    eta_target = sech_squared(xi)
-    n_max = choose_n_max(eta_target, m, policy)
+    out, bound, _ = orbit(xi, m, policy, f"xi={xi}")
+    return FockVector(out, len(out) - 1, bound)
+
+
+def orbit(xi: float, m: int, policy: TruncationPolicy, what: str):
+    """(exp(xi (K+ - K-)) |m>, its truncation bound, eta = sech^2 xi).
+
+    The basis is sized for nbs(eta, m); the bound is the ``boundary_mass``
+    (checked against the policy's tail_eps, naming ``what``) plus the
+    NB(eta, m) tail above the basis.  At m = 0 the band is n + 1, that of
+    the two-mode squeezer on the pair basis |n, n>.
+    """
+    eta = sech_squared(xi)
+    n_max = choose_n_max(eta, m, policy)
     v0 = np.zeros(n_max + 1, dtype=complex)
     v0[m] = 1.0
-    up = xi * _raising_band(m, n_max)
-    out, bound = expm_apply_skew_bounded(
-        up, v0, eta_target, m, policy.tail_eps, f"xi={xi}"
-    )
-    return FockVector(out, n_max, bound)
+    out = expm_apply_skew(xi * _raising_band(m, n_max), v0)
+    bound = boundary_mass(out, policy.tail_eps, what)
+    return out, tail_mass_nbs(eta, m, n_max) + bound, eta
 
 
 def disentangle_check(

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from nbstates.cli import CliError, main, parse_config, read_grid_csv, run
+from nbstates.squeeze import default_eta_grid, squeezing_scan
+from nbstates.stats import stats_report
 
 
 def parse(*argv):
@@ -238,6 +240,36 @@ class TestBulkWriters:
         assert _grid_text(grid, "json") == want
         rows = [",".join("%.17g" % (float(v) + 0.0) for v in row) for row in vals]
         assert _grid_text(grid, "csv") == "\n".join(["# 0,1,0,2,4,3"] + rows) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "--eta", "0.3", "--m", "7"],
+            ["squeeze-scan", "--m", "3", "--eta-step", "0.05"],
+            ["evolve", "--chi-t", "1.5", "--m", "2", "--steps", "5"],
+            ["evolve", "--chi-t", "1.5", "--scheme", "parametric", "--steps", "4"],
+        ],
+        ids=["stats", "squeeze-scan", "evolve-intensity", "evolve-parametric"],
+    )
+    def test_tables_parse_back_to_equal_floats(self, argv, capsys):
+        assert main(argv + ["--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = [ln for ln in lines if ln.startswith("# ")][-1][2:].split(",")
+        rows = [[float(v) for v in ln.split(",")] for ln in lines if ln[0] != "#"]
+        assert main(argv + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        for k, name in enumerate(names):
+            column = payload[name] if isinstance(payload[name], list) else [payload[name]]
+            assert [row[k] for row in rows] == column
+        if argv[0] == "stats":
+            report = stats_report(0.3, 7)
+            assert payload["mandel_q"] == report.mandel_q_closed
+            assert payload["mandel_q_numeric"] == report.mandel_q_numeric
+            assert payload["second_factorial_moment"] == report.f2
+        if argv[0] == "squeeze-scan":
+            scan = squeezing_scan([3], default_eta_grid(step=0.05))
+            for name in ("mean_a", "mean_a2", "var_x", "var_y"):
+                assert payload[name] == getattr(scan, name)[0].tolist()
 
     def test_squeeze_scan_json_layout(self, capsys):
         assert main([

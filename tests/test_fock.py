@@ -1,20 +1,77 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from nbstates.dynamics import EvolutionSpec, atom_passage
 from nbstates.fock import (
     FockVector,
     TruncationPolicy,
     apply_annihilation,
     apply_creation,
     apply_diag,
+    check_domain,
     inner_product,
     normalized,
     pad_to,
     tail_mass_nbs,
 )
-from nbstates.states import NBSParams, nbs, number_state
+from nbstates.phasespace import GridSpec
+from nbstates.squeeze import squeezing_scan
+from nbstates.states import NBSParams, excited_geometric, nbs, number_state, two_mode_geometric
+from nbstates.stats import (
+    factorial_moments,
+    generating_function,
+    mandel_q,
+    stats_report,
+    sub_poissonian_threshold,
+)
+
+
+# (function, arguments, the ValueError's message) for each checked entry point
+_OUTSIDE = [
+    (stats_report, (0.0, 1), "eta must be in (0, 1], got 0.0"),
+    (mandel_q, (0.0, 1), "eta must be in (0, 1], got 0.0"),
+    (factorial_moments, (-0.5, 1), "eta must be in (0, 1], got -0.5"),
+    (generating_function, (0.5, 0.5, -1), "m must be a nonnegative integer, got -1"),
+    (tail_mass_nbs, (0.5, 1.5, 10), "m must be a nonnegative integer, got 1.5"),
+    (sub_poissonian_threshold, (1.5,), "m must be a nonnegative integer, got 1.5"),
+    (squeezing_scan, ([1.5], [0.5]), "m must be a nonnegative integer, got 1.5"),
+    (squeezing_scan, ([1], [0.5, 1.5]), "eta must be in (0, 1], got 1.5"),
+    (excited_geometric, (0.5, 1.5), "m must be a nonnegative integer, got 1.5"),
+    (number_state, (1.5, 4), "m must be a nonnegative integer, got 1.5"),
+    (NBSParams, (0.5, 2.0), "m must be a nonnegative integer, got 2.0"),
+    (GridSpec, (-1.0, 1.0, -1.0, 1.0, 2.5), "nx must be an integer >= 2, got 2.5"),
+    (EvolutionSpec, (math.nan,), "chi_t must be a finite nonnegative real, got nan"),
+    (atom_passage, (two_mode_geometric(0.5), 0.05, 1.0), "m_photon must be a positive integer, got 1.0"),
+]
+
+
+class TestCheckDomain:
+    """Every (eta, m) entry point raises ValueError naming the bad value."""
+
+    @pytest.mark.parametrize(
+        "fn,args,needle", _OUTSIDE, ids=[f"{fn.__name__}{args}" for fn, args, _ in _OUTSIDE]
+    )
+    def test_outside_the_domain(self, fn, args, needle):
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            fn(*args)
+
+    def test_numpy_integers_pass(self):
+        m = np.int64(3)
+        assert NBSParams(0.5, m).m == 3
+        assert number_state(m, 4).amplitudes[3] == 1.0
+        assert tail_mass_nbs(0.5, np.int32(2), 40) == tail_mass_nbs(0.5, 2, 40)
+        assert sub_poissonian_threshold(m) == sub_poissonian_threshold(3)
+        assert squeezing_scan([m], [0.5]).m_values == (3,)
+        assert GridSpec(-1.0, 1.0, -1.0, 1.0, np.int64(3), np.int16(2)).nx == 3
+
+    def test_non_numbers_are_value_errors(self):
+        with pytest.raises(ValueError, match="eta must be in"):
+            check_domain(eta="0.5")
+        with pytest.raises(ValueError, match="m must be a nonnegative integer, got None"):
+            check_domain(m=None)
 
 
 def test_policy_validation():

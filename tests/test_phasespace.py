@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +185,16 @@ class TestWigner:
     def test_nonconvergence_reported(self):
         with pytest.raises(ConvergenceError, match="tail bound"):
             wigner(nbs(NBSParams(0.5, 0)), P(2.0, 0.0), k_max=1)
+
+    @pytest.mark.parametrize("p", [P(0.0, 0.0), P(0.3, -0.2)])
+    @pytest.mark.parametrize("value", [-1, 2.5])
+    def test_k_max_outside_its_domain(self, p, value):
+        state = nbs(NBSParams(0.5, 1))
+        needle = f"k_max must be a nonnegative integer, got {value}"
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            wigner(state, p, k_max=value)
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            s_distribution(state, p, -0.5, k_max=value)
 
     def test_default_series_runs_over_the_workspace(self):
         # the displaced state spreads past photon number 512 here

@@ -5,7 +5,7 @@ import pytest
 from mpmath import mp
 
 from nbstates.fock import FockVector
-from nbstates.states import NBSParams, nbs, number_state
+from nbstates.states import NBSParams, choose_n_max, nbs, nbs_amplitudes, number_state
 from nbstates.squeeze import (
     SCAN_POLICY,
     VarianceSample,
@@ -123,6 +123,24 @@ class TestScan:
         vx, vy = quadrature_variances(nbs(NBSParams(0.35, 3), SCAN_POLICY))
         assert scan.var_x[0, 0] == pytest.approx(vx, abs=1e-12)
         assert scan.var_y[0, 0] == pytest.approx(vy, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [0, 1, 7, 31])
+    @pytest.mark.parametrize("eta", [0.013, 0.35, 0.6, 0.999])
+    def test_point_equals_the_state_route_on_the_scan_basis(self, m, eta):
+        # one kernel serves both routes; a FockVector holds complex
+        # amplitudes, whose sums round apart from the real block's, by
+        # about an ulp of the moments (mean photon number (m + 1) / eta)
+        n_max = choose_n_max(eta, m, SCAN_POLICY)
+        state = FockVector(nbs_amplitudes(np.array([eta]), m, n_max)[0], n_max)
+        s = variances_at(eta, m)
+        vx, vy = quadrature_variances(state)
+        a1, a2 = field_moments(state)
+        got = (s.var_x, s.var_y, s.mean_a, s.mean_a2)
+        assert got == pytest.approx((vx, vy, a1.real, a2.real), rel=0, abs=1e-14 * (m + 1) / eta)
+
+    def test_m_values_may_be_an_iterator(self):
+        scan = squeezing_scan((m for m in [2, 0]), [0.5])
+        assert scan.m_values == (2, 0)
 
     def test_samples_iterator(self):
         scan = squeezing_scan([1], [0.3, 0.7])

@@ -63,6 +63,15 @@ class TestNBS:
         )
         np.testing.assert_allclose(c[m:], direct, rtol=1e-12)
 
+    @pytest.mark.parametrize("m", [0, 1, 7, 31])
+    def test_array_eta_rows_match_scalar_calls(self, m):
+        etas = [0.013, 0.2, 0.5, 0.77, 0.999, 1.0]
+        n_max = choose_n_max(0.013, m, TruncationPolicy(n_hard_cap=16384))
+        rows = nbs_amplitudes(np.array(etas), m, n_max)
+        assert rows.shape == (len(etas), n_max + 1)
+        for eta, row in zip(etas, rows):
+            np.testing.assert_allclose(row, nbs_amplitudes(eta, m, n_max), rtol=1e-15, atol=0)
+
     def test_normalized_within_policy(self):
         pol = TruncationPolicy()
         v = nbs(NBSParams(0.23, 5), pol)

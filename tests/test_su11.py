@@ -17,7 +17,6 @@ from nbstates.fock import (
 )
 from nbstates.states import NBSParams, nbs, number_state
 from nbstates.su11 import (
-    SU11Generators,
     disentangle_check,
     k_minus,
     k_plus,
@@ -105,19 +104,12 @@ class TestAlgebraAction:
         with pytest.raises(ValueError):
             k_minus(v, 2)
 
-    def test_generators_wrapper(self):
-        g = SU11Generators(2)
-        assert g.bargmann_k == 1.5
+    def test_generators_on_the_lowest_weight(self):
         v = number_state(2, 10)
-        np.testing.assert_array_equal(
-            g.plus(v).amplitudes, k_plus(v, 2).amplitudes
-        )
-        np.testing.assert_array_equal(
-            g.zero(v).amplitudes, k_zero(v, 2).amplitudes
-        )
-        assert norm(g.minus(v)) == 0.0
-        with pytest.raises(ValueError):
-            SU11Generators(-1)
+        assert norm(k_minus(v, 2)) == 0.0
+        for op in (k_plus, k_minus, k_zero):
+            with pytest.raises(ValueError, match="m must be a nonnegative integer, got -1"):
+                op(v, -1)
 
 
 class TestCommutators:
