@@ -31,7 +31,7 @@ from dataclasses import dataclass, make_dataclass
 import numpy as np
 
 from .dynamics import EvolutionSpec, evolve_intensity_dependent, evolve_parametric, fidelity
-from .fock import ConvergenceError, TruncationError, TruncationPolicy
+from .fock import DOMAINS, ConvergenceError, TruncationError, TruncationPolicy
 from .phasespace import GridSpec, grid_evaluate
 from .squeeze import SCAN_POLICY, default_eta_grid, squeezing_scan
 from .states import NBSParams, nbs, two_mode_geometric
@@ -85,34 +85,32 @@ class _Option:
 
 
 _FINITE = (math.isfinite, "be finite")
-_AT_LEAST_TWO = (lambda v: v >= 2, "be >= 2")
 
 # Values are checked in this order; RunConfig fields follow it too.
 _OPTIONS = {opt.key: opt for opt in (
-    _Option("eta", float, help="success parameter, 0 < eta <= 1",
-            check=(lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")),
-    _Option("m", int, help="conditioned photon count, m >= 0",
-            check=(lambda v: v >= 0, "be >= 0")),
+    _Option("eta", float, help="success parameter, 0 < eta <= 1", check=DOMAINS["eta"]),
+    _Option("m", int, help="conditioned photon count, m >= 0", check=DOMAINS["m"]),
     _Option("chi_t", float, help="largest dimensionless interaction time, > 0",
             check=(lambda v: math.isfinite(v) and v > 0.0, "be a finite positive time")),
     _Option("scheme", str, "intensity", "evolution scheme (default intensity)",
             choices=("intensity", "parametric")),
-    _Option("steps", int, 9, "number of time samples (default 9)", _AT_LEAST_TWO),
-    _Option("s", float, help="ordering parameter in [-1, 0]",
-            check=(lambda v: -1.0 <= v <= 0.0, "lie in [-1, 0]")),
+    _Option("steps", int, 9, "number of time samples (default 9)",
+            (lambda v: v >= 2, "be >= 2")),
+    _Option("s", float, help="ordering parameter in [-1, 0]", check=DOMAINS["s"]),
     _Option("x_min", float, -6.0, check=_FINITE),
     _Option("x_max", float, 6.0, check=_FINITE),
     _Option("y_min", float, -6.0, check=_FINITE),
     _Option("y_max", float, 6.0, check=_FINITE),
-    _Option("nx", int, 201, "grid columns (default 201)", _AT_LEAST_TWO),
-    _Option("ny", int, 201, "grid rows (default 201)", _AT_LEAST_TWO),
+    _Option("nx", int, 201, "grid columns (default 201)", DOMAINS["nx"]),
+    _Option("ny", int, 201, "grid rows (default 201)", DOMAINS["ny"]),
     _Option("range", float, help="shortcut for the square window [-R, R] x [-R, R]",
             check=(lambda v: math.isfinite(v) and v >= 0.0,
                    "be a finite non-negative half-width"),
             field=None),
     _Option("eta_step", float, 1e-3, "eta grid step (default 1e-3)",
             (lambda v: 0.0 < v <= 0.1, "lie in (0, 0.1]")),
-    _Option("tail_eps", float, 1e-12, "basis truncation tolerance (default 1e-12)",
+    _Option("tail_eps", float, TruncationPolicy.tail_eps,
+            f"basis truncation tolerance (default {TruncationPolicy.tail_eps:g})",
             (lambda v: 0.0 < v <= 1e-6, "lie in (0, 1e-6]"), metavar="EPS"),
     _Option("format", str, "csv", "output format (default csv; stats defaults to json)",
             choices=("csv", "json"), field="fmt"),

@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "ConvergenceError",
+    "DOMAINS",
     "FockVector",
     "TruncationError",
     "TruncationPolicy",
@@ -34,11 +35,11 @@ __all__ = [
 # each parameter's domain: a predicate and the requirement an error names;
 # operator.index takes Python and numpy integers and raises TypeError for
 # 2.0 or 1.5, which fails the check as any value of the wrong type does
-_DOMAINS = {
+DOMAINS = {
     "eta": (lambda v: 0.0 < v <= 1.0, "be in (0, 1]"),
     "chi_t": (lambda v: math.isfinite(v) and v >= 0.0, "be a finite nonnegative real"),
     "s": (lambda v: -1.0 <= v <= 0.0, "lie in [-1, 0]"),
-    **dict.fromkeys(("m", "offset_m", "n", "k", "k_max"),
+    **dict.fromkeys(("m", "offset_m", "n", "k"),
                     (lambda v: index(v) >= 0, "be a nonnegative integer")),
     **dict.fromkeys(("nx", "ny"), (lambda v: index(v) >= 2, "be an integer >= 2")),
     "m_photon": (lambda v: index(v) >= 1, "be a positive integer"),
@@ -46,9 +47,9 @@ _DOMAINS = {
 
 
 def check_domain(**values) -> None:
-    """Raise ValueError naming the first of ``values`` outside its ``_DOMAINS`` entry."""
+    """Raise ValueError naming the first of ``values`` outside its ``DOMAINS`` entry."""
     for name, value in values.items():
-        ok, need = _DOMAINS[name]
+        ok, need = DOMAINS[name]
         try:
             inside = ok(value)
         except TypeError:

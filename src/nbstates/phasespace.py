@@ -168,100 +168,77 @@ def displacement_matrix_element(n: int, k: int, beta: complex) -> complex:
     return math.exp(log_mag) * total * phase
 
 
-def _workspace_size(n_top: int, x: float) -> int:
-    # room for D(beta)|N>, x = |beta|^2: shift by x plus eight times the
-    # larger of sqrt(x + N + 1) and the photon-number spread sqrt(x (2N + 1))
-    spread = max(math.sqrt(x + n_top + 1.0), math.sqrt(x * (2.0 * n_top + 1.0)))
-    return int(math.ceil(n_top + x + 8.0 * spread + 40.0))
+def _displaced(amps, beta: complex, rows: int = 0) -> np.ndarray:
+    """exp(beta a† - beta* a) applied to ``amps`` on a workspace of >= rows + 1 rows.
 
-
-def _displace(amps, delta: complex, tol: float = 1e-13) -> np.ndarray:
-    """exp(delta a† - delta* a) applied to a workspace amplitude array."""
-    w = len(amps) - 1
-    up = delta * np.sqrt(np.arange(1.0, w + 1.0))
-    return expm_apply_skew(up, amps, tol=tol)
-
-
-def _displaced_probabilities(state: FockVector, beta: complex) -> np.ndarray:
-    """q_k = |<k| D(-beta) |state>|^2 on an adaptive workspace.
-
-    Raises TruncationError when the workspace's top two amplitudes hold
-    more than ``boundary_mass`` allows at the default basis tolerance.
+    With N the top index of amps and x = |beta|^2, the workspace spans the
+    shift N + x plus eight times the larger of sqrt(x + N + 1) and the
+    photon-number spread sqrt(x (2N + 1)) of D(beta)|N>.  The spread comes
+    from N, not from the mean photon number: D(beta) acts on each |n>
+    alone, so a small weight on a high |n> still reaches that far.
+    Raises TruncationError when its top two amplitudes hold more than
+    ``boundary_mass`` allows at the default basis tolerance.
     """
-    w = _workspace_size(state.n_max, abs(beta) ** 2)
-    psi = np.zeros(w + 1, dtype=complex)
-    psi[: state.n_max + 1] = state.amplitudes
-    phi = _displace(psi, -beta)
+    n_top = len(amps) - 1
+    x = abs(beta) ** 2
+    spread = max(math.sqrt(x + n_top + 1.0), math.sqrt(x * (2.0 * n_top + 1.0)))
+    w = max(rows, math.ceil(n_top + x + 8.0 * spread + 40.0))
+    v = np.zeros(w + 1, dtype=complex)
+    v[: n_top + 1] = amps
+    phi = expm_apply_skew(beta * np.sqrt(np.arange(1.0, w + 1.0)), v, tol=1e-13)
     boundary_mass(phi, TruncationPolicy().tail_eps, "the displaced state")
-    return np.abs(phi) ** 2
+    return phi
 
 
-def _point_value(state: FockVector, p: PhaseSpacePoint, s: float, k_max) -> float:
-    """Alternating weighted sum over q_k(beta) with the rigorous tail stop.
+def _point_value(state: FockVector, p: PhaseSpacePoint, s: float) -> float:
+    """(2/pi) sum_k w_k q_k(beta), w_k = (-u)^k / (1-s), u = (1+s)/(1-s).
 
     The one body of ``wigner`` and ``s_distribution``; neither calls the
-    other.  Remaining mass past k is at most 1 - cum(q_k) since sum_k q_k
-    is the squared norm; the weight envelope multiplies it by
-    u^(k+1)/(1-s).  k_max None lets the sum run over every q_k given.
+    other.  The sum runs over the whole displaced workspace.  The check
+    after it covers a norm-deficient input: 1 - sum_k q_k is the mass the
+    input lacks (the truncated exponential is unitary), times the weight
+    envelope u |w_K| at the last k = K; past 1e-10 this raises
+    ConvergenceError.  The workspace edge is guarded by ``_displaced``.
     """
-    if k_max is not None:
-        check_domain(k_max=k_max)
     beta = p.beta
     # exact limit at beta = 0: the displaced-number overlaps collapse to |c_k|^2
-    q = state.probabilities() if beta == 0 else _displaced_probabilities(state, beta)
+    q = np.abs(_displaced(state.amplitudes, -beta) if beta else state.amplitudes) ** 2
     u = (1.0 + s) / (1.0 - s)
-    cap = len(q) - 1 if k_max is None else min(k_max, len(q) - 1)
-    cum = 0.0
-    total = 0.0
-    weight = 1.0 / (1.0 - s)
-    sign = 1.0
-    for k in range(cap + 1):
-        total += sign * weight * q[k]
-        cum += q[k]
-        bound = _TWO_OVER_PI * weight * u * max(0.0, 1.0 - cum)
-        if bound < _SERIES_TOL:
-            return _TWO_OVER_PI * total
-        weight *= u
-        sign = -sign
-    raise ConvergenceError(
-        f"series tail bound {bound:.3e} still above {_SERIES_TOL} "
-        f"after {cap + 1} terms"
-    )
+    weights = np.cumprod(np.concatenate(([1.0 / (1.0 - s)], np.full(len(q) - 1, -u))))
+    bound = _TWO_OVER_PI * abs(weights[-1]) * u * max(0.0, 1.0 - float(q.sum()))
+    if bound >= _SERIES_TOL:
+        raise ConvergenceError(f"series tail bound {bound:.3e} still above "
+                               f"{_SERIES_TOL} after {len(q)} terms")
+    return _TWO_OVER_PI * float(weights @ q)
 
 
-def wigner(state: FockVector, p: PhaseSpacePoint, k_max: int | None = None) -> float:
-    """(2/pi) sum_k (-1)^k q_k(beta), stopped once the tail bound < 1e-10.
+def wigner(state: FockVector, p: PhaseSpacePoint) -> float:
+    """(2/pi) sum_k (-1)^k q_k(beta) over the displaced workspace.
 
-    By default the sum may run over the whole displaced workspace.
+    Raises ConvergenceError if the state's norm deficit may move it by
+    1e-10, and TruncationError if the displaced state reaches the
+    workspace edge.
     """
-    return _point_value(state, p, 0.0, k_max)
+    return _point_value(state, p, 0.0)
 
 
-def s_distribution(
-    state: FockVector, p: PhaseSpacePoint, s: float, k_max: int | None = None
-) -> float:
-    """Quasiprobability at ordering parameter s in [-1, 0]; k_max as in ``wigner``."""
+def s_distribution(state: FockVector, p: PhaseSpacePoint, s: float) -> float:
+    """Quasiprobability at ordering parameter s in [-1, 0], summed as in ``wigner``."""
     check_domain(s=s)
-    return _point_value(state, p, s, k_max)
+    return _point_value(state, p, s)
 
 
-def _overlap_log(c: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """<beta|state> for each beta, every coefficient built in the log domain.
+def _overlap_log(c: np.ndarray, beta: complex) -> complex:
+    """<beta|state>, every coefficient built in the log domain.
 
     For |beta|^2 past ~1400, where e^{-|beta|^2/2} underflows and the
     product conj(beta)^n / sqrt(n!) overflows.
     """
     n = np.arange(len(c))
     half_log_fact = 0.5 * np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
-    r = np.abs(beta)[:, None]
+    r = np.abs(beta)
     log_mag = n * np.log(r) - half_log_fact - 0.5 * r * r
-    return np.exp(log_mag - 1j * np.angle(beta)[:, None] * n) @ c
-
-
-def _direct_overlap_fails(coef: np.ndarray) -> np.ndarray:
-    # the prefactor has underflowed, or a partial product overflowed: once
-    # infinite, the product stays infinite (or NaN) up to its last entry
-    return (coef[..., 0].real < _TINY) | ~np.isfinite(coef[..., -1])
+    return complex(np.exp(log_mag - 1j * np.angle(beta) * n) @ c)
 
 
 def q_function(state: FockVector, p: PhaseSpacePoint) -> float:
@@ -277,8 +254,10 @@ def q_function(state: FockVector, p: PhaseSpacePoint) -> float:
         steps = np.conj(beta) / np.sqrt(np.arange(1.0, n + 1.0))
         with np.errstate(over="ignore", invalid="ignore"):
             coef[1:] = coef[0] * np.cumprod(steps)
-    if _direct_overlap_fails(coef):
-        ov = _overlap_log(c, np.array([beta]))[0]
+    # the prefactor has underflowed, or a partial product overflowed: once
+    # infinite, the product stays infinite (or NaN) up to its last entry
+    if coef[0].real < _TINY or not np.isfinite(coef[-1]):
+        ov = _overlap_log(c, beta)
     else:
         ov = np.sum(coef * c)
     return float(abs(ov) ** 2 / math.pi)
@@ -323,13 +302,9 @@ def displaced_number_state(beta: complex, k: int, n_max: int) -> FockVector:
     check_domain(k=k)
     if k > n_max:
         raise ValueError(f"need k <= n_max, got k={k}, n_max={n_max}")
-    beta = complex(beta)
-    x = abs(beta) ** 2
-    w = max(n_max, _workspace_size(k, x))
-    v = np.zeros(w + 1, dtype=complex)
+    v = np.zeros(k + 1)
     v[k] = 1.0
-    phi = _displace(v, beta)
-    amps = phi[: n_max + 1]
+    amps = _displaced(v, complex(beta), n_max)[: n_max + 1]
     leak = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
     if leak > 1e-8:
         raise TruncationError(

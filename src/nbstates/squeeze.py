@@ -73,8 +73,8 @@ def _moments(c: np.ndarray):
     """<a>, <a^2>, var_x and var_y of the amplitudes c along the last axis.
 
     <a> = sum sqrt(n+1) c_n* c_{n+1} and the matching <a^2>, each over
-    the squared norm; complex for complex c, whose variances use their
-    real parts.
+    the squared norm, which must not be 0; complex for complex c, whose
+    variances use their real parts.
     """
     n = np.arange(c.shape[-1], dtype=float)
     if np.iscomplexobj(c):
@@ -82,6 +82,8 @@ def _moments(c: np.ndarray):
     else:
         cc, p = c, c * c
     nrm2 = p.sum(axis=-1)
+    if np.any(nrm2 == 0.0):
+        raise ValueError("field moments need a nonzero state, got squared norm 0")
     mean_n = (n * p).sum(axis=-1) / nrm2
     mean_a = (np.sqrt(n[1:]) * cc[..., :-1] * c[..., 1:]).sum(axis=-1) / nrm2
     w2 = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))

@@ -109,6 +109,8 @@ def nbs_amplitudes(eta, m: int, n_max: int) -> np.ndarray:
     which never forms a large binomial coefficient.  eta is a float, or
     a 1-D array with one row of coefficients per value.
     """
+    if n_max < m:
+        raise ValueError(f"need n_max >= m, got n_max={n_max}, m={m}")
     c = np.zeros(np.shape(eta) + (n_max + 1,))
     # Python pow for a float eta, numpy pow for an array: the two can
     # differ in the last bit, and each caller keeps its own

@@ -1,12 +1,11 @@
 import math
-import re
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from nbstates._expm import boundary_mass
-from nbstates.fock import ConvergenceError, TruncationError
+from nbstates.fock import ConvergenceError, FockVector, TruncationError
 from nbstates.states import NBSParams, nbs, number_state
 from nbstates.phasespace import (
     GridSpec,
@@ -183,24 +182,30 @@ class TestWigner:
             assert abs(wigner(v1, p) - wigner(v2, p)) < 1e-12
 
     def test_nonconvergence_reported(self):
+        # squared norm 1/4: the tail bound counts the missing 3/4 as lost mass
+        deficient = FockVector.from_amplitudes(np.full(4, 0.25))
         with pytest.raises(ConvergenceError, match="tail bound"):
-            wigner(nbs(NBSParams(0.5, 0)), P(2.0, 0.0), k_max=1)
-
-    @pytest.mark.parametrize("p", [P(0.0, 0.0), P(0.3, -0.2)])
-    @pytest.mark.parametrize("value", [-1, 2.5])
-    def test_k_max_outside_its_domain(self, p, value):
-        state = nbs(NBSParams(0.5, 1))
-        needle = f"k_max must be a nonnegative integer, got {value}"
-        with pytest.raises(ValueError, match=re.escape(needle)):
-            wigner(state, p, k_max=value)
-        with pytest.raises(ValueError, match=re.escape(needle)):
-            s_distribution(state, p, -0.5, k_max=value)
+            wigner(deficient, P(2.0, 0.0))
 
     def test_default_series_runs_over_the_workspace(self):
         # the displaced state spreads past photon number 512 here
         state = nbs(NBSParams(0.1, 5))
         g = grid_evaluate(state, GridSpec.square(6.0, 3, 3), "W")
         assert abs(wigner(state, P(-6.0, -6.0)) - g.values[0, 0]) < 1e-9
+
+    def test_workspace_reaches_a_light_high_component(self):
+        # 1e-7 of the mass on |100>: D(beta) still spreads that component by
+        # sqrt(201)|beta| ~ 142, so the workspace is sized from the top index
+        # 100, not from <N> = 1e-5; the cross term with |0> is below 1e-35
+        mpmath = pytest.importorskip("mpmath")
+        amps = np.zeros(101)
+        amps[0], amps[100] = math.sqrt(1.0 - 1e-7), math.sqrt(1e-7)
+        with mpmath.workdps(40):
+            x = mpmath.mpf(100)
+            exact = 2 / mpmath.pi * mpmath.exp(-2 * x) * (
+                1 - mpmath.mpf(1e-7) + mpmath.mpf(1e-7) * mpmath.laguerre(100, 0, 4 * x))
+        got = wigner(FockVector.from_amplitudes(amps), P(10.0, 0.0))
+        assert abs(got - float(exact)) < 1e-10
 
     def test_boundary_mass_is_a_truncation_error(self):
         # a unitary exponential on too small a basis piles mass at its top
@@ -339,14 +344,14 @@ def _closed_s(k, xs, ys, s):
     return gauss if k == 0 else gauss * (4.0 * r2 / a**2 - (1.0 + s) / a)
 
 
-def _pointwise(state, grid, s, nodes, k_max=512):
+def _pointwise(state, grid, s, nodes):
     xs, ys = grid.xs(), grid.ys()
     for i, j in nodes:
         p = P(xs[i], ys[j])
         if s == 0.0:
-            want = wigner(state, p, k_max)
+            want = wigner(state, p)
         else:
-            want = s_distribution(state, p, s, k_max)
+            want = s_distribution(state, p, s)
         yield grid.values[j, i], want
 
 
@@ -379,7 +384,7 @@ class TestFourierGridEngine:
         for kind, s in (("W", 0.0), ("S", -0.4)):
             g = grid_evaluate(state, spec, kind, s)
             nodes = [(0, 0), (5, 5), (3, 8), (10, 2)]
-            for got, want in _pointwise(state, g, s, nodes, k_max=4096):
+            for got, want in _pointwise(state, g, s, nodes):
                 assert abs(got - want) < 1e-9
 
     @pytest.mark.parametrize("s", [0.0, -1e-9, -0.3, -1.0])

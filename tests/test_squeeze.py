@@ -76,6 +76,11 @@ class TestMoments:
         with pytest.raises(ValueError, match="imaginary"):
             quadrature_variances(v)
 
+    @pytest.mark.parametrize("moments", [field_moments, quadrature_variances])
+    def test_zero_vector_rejected(self, moments):
+        with pytest.raises(ValueError, match="squared norm 0"):
+            moments(FockVector(np.zeros(3), 2))
+
     @pytest.mark.parametrize("m", [0, 1, 4, 7, 10])
     @pytest.mark.parametrize("eta", [0.1, 0.3, 0.5, 0.8, 0.95])
     def test_two_routes_agree(self, m, eta):

@@ -63,6 +63,10 @@ class TestNBS:
         )
         np.testing.assert_allclose(c[m:], direct, rtol=1e-12)
 
+    def test_basis_below_m_rejected(self):
+        with pytest.raises(ValueError, match="n_max=1, m=3"):
+            nbs_amplitudes(0.5, 3, 1)
+
     @pytest.mark.parametrize("m", [0, 1, 7, 31])
     def test_array_eta_rows_match_scalar_calls(self, m):
         etas = [0.013, 0.2, 0.5, 0.77, 0.999, 1.0]
