@@ -148,7 +148,7 @@ def displacement_matrix_element(n: int, k: int, beta: complex) -> complex:
     Kronecker delta.  Intended for moderate min(n, k); the distribution
     engines never call this.
     """
-    check_domain(n=n, k=k)
+    check_domain(n=n, k=k, beta=beta)
     beta = complex(beta)
     if beta == 0:
         return 1.0 + 0.0j if n == k else 0.0 + 0.0j
@@ -299,7 +299,7 @@ def q_function_closed(params: NBSParams, p: PhaseSpacePoint) -> float:
 
 def displaced_number_state(beta: complex, k: int, n_max: int) -> FockVector:
     """D(beta)|k> truncated to n_max, with the lost mass in tail_bound."""
-    check_domain(k=k)
+    check_domain(k=k, beta=beta)
     if k > n_max:
         raise ValueError(f"need k <= n_max, got k={k}, n_max={n_max}")
     v = np.zeros(k + 1)

@@ -155,7 +155,7 @@ def nbs_field_moments_series(eta: float, m: int) -> tuple[float, float]:
 
 def _variance_block(m: int, etas: np.ndarray, policy: TruncationPolicy):
     """Vectorized variances for one m over a block of eta values."""
-    n_max = choose_n_max(float(etas.min()), m, policy)
+    n_max, _ = choose_n_max(float(etas.min()), m, policy)
     return _moments(nbs_amplitudes(etas, m, n_max))
 
 

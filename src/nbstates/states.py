@@ -80,19 +80,19 @@ def sharpened(policy: TruncationPolicy) -> TruncationPolicy:
     return TruncationPolicy(tail_eps=eps, n_hard_cap=policy.n_hard_cap)
 
 
-def choose_n_max(eta: float, m: int, policy: TruncationPolicy) -> int:
+def choose_n_max(eta: float, m: int, policy: TruncationPolicy) -> tuple[int, float]:
     """Smallest basis from the doubling schedule meeting the tail target.
 
     Starts at m + 32 and doubles until tail_mass_nbs drops below
-    policy.tail_eps; raises TruncationError at the hard cap, reporting
-    the tail mass actually achieved.
+    policy.tail_eps; returns (n_max, that tail mass).  Raises
+    TruncationError at the hard cap, reporting the tail mass achieved.
     """
     n = m + 32
     while True:
         n = min(n, policy.n_hard_cap)
         tail = tail_mass_nbs(eta, m, n)
         if tail < policy.tail_eps:
-            return n
+            return n, tail
         if n >= policy.n_hard_cap:
             raise TruncationError(
                 f"n_hard_cap={policy.n_hard_cap} too small for eta={eta}, "
@@ -106,8 +106,11 @@ def nbs_amplitudes(eta, m: int, n_max: int) -> np.ndarray:
 
     Built by the stable ratio recursion
     c_{n+1}/c_n = sqrt((n+1)/(n+1-m)) * sqrt(1-eta),
-    which never forms a large binomial coefficient.  eta is a float, or
-    a 1-D array with one row of coefficients per value.
+    which never forms a large binomial coefficient.  A row whose first
+    amplitude eta^((m+1)/2) lies below the normal range is built from the
+    cumulative sum of the log ratios instead: there the first amplitude
+    has lost digits, or is 0 while the ratio product overflows.  eta is a
+    float, or a 1-D array with one row of coefficients per value.
     """
     if n_max < m:
         raise ValueError(f"need n_max >= m, got n_max={n_max}, m={m}")
@@ -119,7 +122,15 @@ def nbs_amplitudes(eta, m: int, n_max: int) -> np.ndarray:
         n = np.arange(m, n_max, dtype=float)
         step = np.sqrt(1.0 - np.asarray(eta))[..., None]
         ratios = np.sqrt((n + 1.0) / (n + 1.0 - m)) * step
-        c[..., m + 1 :] = c[..., m, None] * np.cumprod(ratios, axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c[..., m + 1 :] = c[..., m, None] * np.cumprod(ratios, axis=-1)
+        low = c[..., m, None] < np.finfo(float).tiny
+        if low.any():
+            with np.errstate(divide="ignore"):  # the ratios of an eta = 1 row are 0
+                start = (m + 1) / 2 * np.log(eta)[..., None]
+                logs = np.cumsum(np.log(ratios), axis=-1) + start
+            rows = np.exp(np.concatenate((start, logs), axis=-1))
+            c[..., m:] = np.where(low, rows, c[..., m:])
     return c
 
 
@@ -131,9 +142,8 @@ def nbs(params: NBSParams, policy: TruncationPolicy | None = None) -> FockVector
     policy.tail_eps by construction.
     """
     policy = policy or TruncationPolicy()
-    n_max = choose_n_max(params.eta, params.m, policy)
-    c = nbs_amplitudes(params.eta, params.m, n_max)
-    return FockVector(c, n_max, tail_mass_nbs(params.eta, params.m, n_max))
+    n_max, tail = choose_n_max(params.eta, params.m, policy)
+    return FockVector(nbs_amplitudes(params.eta, params.m, n_max), n_max, tail)
 
 
 def geometric_state(eta: float, policy: TruncationPolicy | None = None) -> FockVector:
@@ -146,21 +156,32 @@ def excited_geometric(
 ) -> FockVector:
     """m-fold photon-added geometric state, normalized numerically.
 
-    Built literally: m raising-operator applications on the geometric
-    state, then normalization.  Equals nbs(eta, m) up to truncation error;
-    the construction runs on a sharpened basis so the dropped top
-    amplitudes stay far below the 1e-10 fidelity budget.  tail_bound is
-    at least the NB(eta, m) mass above n_max, which the amplitudes
-    dropped along the way understate.
+    Built literally: the geometric amplitudes on the basis sized for
+    nbs(eta, m) on a sharpened policy, then m raising-operator
+    applications, each followed by normalization so the growing product
+    stays finite.  Equals nbs(eta, m) up to truncation error, far below the
+    1e-10 fidelity budget.  Geometric amplitudes below the normal range
+    have lost their digits and are cut; tail_bound is at least the
+    NB(eta, m) mass above the basis or the cut, and a cut that leaves more
+    than policy.tail_eps raises TruncationError.
     """
     policy = policy or TruncationPolicy()
     check_domain(m=m)
-    v = geometric_state(eta, sharpened(policy))
+    n_max, tail = choose_n_max(eta, m, sharpened(policy))
+    g = nbs_amplitudes(eta, 0, n_max)
+    kept = int(np.count_nonzero(g >= np.finfo(float).tiny))
+    g[kept:] = 0.0
+    if m + kept <= n_max:
+        tail = tail_mass_nbs(eta, m, m + kept - 1)
+        if tail >= policy.tail_eps:
+            raise TruncationError(
+                f"geometric amplitudes underflow past n={kept - 1} for eta={eta}: "
+                f"NB(eta, m={m}) mass {tail:.3e} above n={m + kept - 1} is lost"
+            )
+    v = normalized(FockVector(g, n_max))
     for _ in range(m):
-        v = apply_creation(v)
-    v = normalized(v)
-    bound = max(v.tail_bound, tail_mass_nbs(eta, m, v.n_max))
-    return FockVector(v.amplitudes, v.n_max, bound)
+        v = normalized(apply_creation(v))
+    return FockVector(v.amplitudes, n_max, max(v.tail_bound, tail))
 
 
 def number_state(m: int, n_max: int) -> FockVector:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockVector, TruncationPolicy, check_domain
+from .fock import FockVector, TruncationError, TruncationPolicy, check_domain
 from .states import NBSParams, nbs, sharpened
 
 __all__ = [
@@ -45,10 +45,17 @@ def generating_function(lam: float, eta: float, m: int) -> float:
 
 
 def factorial_moments(eta: float, m: int) -> tuple[float, float]:
-    """First two factorial moments <N> and <N(N-1)> of NB(eta, m)."""
+    """First two factorial moments <N> and <N(N-1)> of NB(eta, m).
+
+    Below eta ~ 1e-154, <N(N-1)> ~ (m + 2)(m + 1) / eta^2 passes the float
+    range; no finite basis holds such a state, and TruncationError says so.
+    """
     check_domain(eta=eta, m=m)
     f1 = (m + 1) / eta - 1.0
-    f2 = (m + 2) * (m + 1) / eta**2 - 4 * (m + 1) / eta + 2.0
+    eta2 = eta**2
+    f2 = (m + 2) * (m + 1) / eta2 - 4 * (m + 1) / eta + 2.0 if eta2 else math.inf
+    if not math.isfinite(f2):
+        raise TruncationError(f"<N(N-1)> of NB(eta={eta}, m={m}) overflows a float")
     return f1, f2
 
 

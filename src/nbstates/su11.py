@@ -24,7 +24,6 @@ from .fock import (
     apply_creation,
     apply_diag,
     check_domain,
-    tail_mass_nbs,
 )
 from .states import NBSParams, choose_n_max, nbs, sharpened
 
@@ -129,12 +128,12 @@ def orbit(xi: float, m: int, policy: TruncationPolicy, what: str):
     the two-mode squeezer on the pair basis |n, n>.
     """
     eta = sech_squared(xi)
-    n_max = choose_n_max(eta, m, policy)
+    n_max, tail = choose_n_max(eta, m, policy)
     v0 = np.zeros(n_max + 1, dtype=complex)
     v0[m] = 1.0
     out = expm_apply_skew(xi * _raising_band(m, n_max), v0)
     bound = boundary_mass(out, policy.tail_eps, what)
-    return out, tail_mass_nbs(eta, m, n_max) + bound, eta
+    return out, tail + bound, eta
 
 
 def disentangle_check(

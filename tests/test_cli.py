@@ -328,6 +328,11 @@ class TestExitCodes:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_overflowing_moments_are_a_numerical_failure(self, capsys):
+        assert main(["stats", "--eta", "1e-170", "--m", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
     def test_run_reports_argument_errors_as_1(self, capsys):
         assert main(["stats", "--eta", "nope", "--m", "1"]) == 1
 

@@ -1,8 +1,10 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nbstates.dynamics import EvolutionSpec, atom_passage
 from nbstates.fock import (
@@ -17,7 +19,7 @@ from nbstates.fock import (
     pad_to,
     tail_mass_nbs,
 )
-from nbstates.phasespace import GridSpec
+from nbstates.phasespace import GridSpec, displaced_number_state, displacement_matrix_element
 from nbstates.squeeze import squeezing_scan
 from nbstates.states import NBSParams, excited_geometric, nbs, number_state, two_mode_geometric
 from nbstates.stats import (
@@ -36,6 +38,12 @@ _OUTSIDE = [
     (factorial_moments, (-0.5, 1), "eta must be in (0, 1], got -0.5"),
     (generating_function, (0.5, 0.5, -1), "m must be a nonnegative integer, got -1"),
     (tail_mass_nbs, (0.5, 1.5, 10), "m must be a nonnegative integer, got 1.5"),
+    (tail_mass_nbs, (0.5, 0, 2.5), "n_max must be a nonnegative integer, got 2.5"),
+    (tail_mass_nbs, (0.5, 0, -1), "n_max must be a nonnegative integer, got -1"),
+    (displaced_number_state, (math.inf, 0, 10), "beta must be finite, got inf"),
+    (displaced_number_state, (math.nan, 0, 10), "beta must be finite, got nan"),
+    (displacement_matrix_element, (0, 0, math.inf), "beta must be finite, got inf"),
+    (displacement_matrix_element, (0, 0, complex(1.0, math.nan)), "beta must be finite, got (1+nanj)"),
     (sub_poissonian_threshold, (1.5,), "m must be a nonnegative integer, got 1.5"),
     (squeezing_scan, ([1.5], [0.5]), "m must be a nonnegative integer, got 1.5"),
     (squeezing_scan, ([1], [0.5, 1.5]), "eta must be in (0, 1], got 1.5"),
@@ -63,6 +71,7 @@ class TestCheckDomain:
         assert NBSParams(0.5, m).m == 3
         assert number_state(m, 4).amplitudes[3] == 1.0
         assert tail_mass_nbs(0.5, np.int32(2), 40) == tail_mass_nbs(0.5, 2, 40)
+        assert tail_mass_nbs(0.5, 2, np.int64(40)) == tail_mass_nbs(0.5, 2, 40)
         assert sub_poissonian_threshold(m) == sub_poissonian_threshold(3)
         assert squeezing_scan([m], [0.5]).m_values == (3,)
         assert GridSpec(-1.0, 1.0, -1.0, 1.0, np.int64(3), np.int16(2)).nx == 3
@@ -224,6 +233,28 @@ class TestTailMass:
 
     def test_all_mass_above_small_cutoff(self):
         assert tail_mass_nbs(0.9, 5, 2) == 1.0
+
+    @settings(max_examples=80)
+    @given(
+        eta=st.one_of(st.floats(1e-3, 1.0), st.just(1.0)),
+        m=st.integers(0, 500),
+        n_max=st.integers(0, 20_000),
+    )
+    @example(eta=0.3, m=500, n_max=120)  # n_max < m, mass below 1
+    @example(eta=1.0, m=7, n_max=6)
+    @example(eta=0.5, m=0, n_max=1050)  # the mass is subnormal
+    @example(eta=1 - 2.0**-40, m=500, n_max=20_000)
+    def test_upper_bound_of_the_binomial_sum(self, eta, m, n_max):
+        # P(N > n_max) = P(at most m successes in n_max + 1 trials)
+        n0, e = n_max + 1, mpmath.mpf(eta)
+        with mpmath.workdps(40):
+            want = mpmath.fsum(
+                mpmath.binomial(n0, j) * e**j * (1 - e) ** (n0 - j) for j in range(min(m, n0) + 1)
+            )
+        got = mpmath.mpf(tail_mass_nbs(eta, m, n_max))
+        # below the normal range a double holds each term only to 2^-1074
+        floor = (min(m, n0) + 2) * math.ulp(0.0)
+        assert want <= got <= want * (1 + 1e-8) + floor
 
 
 class TestRaisingOverlapChain:

@@ -123,6 +123,15 @@ class TestScan:
         assert np.all(scan.var_x * scan.var_y >= 1 / 16 - 1e-12)
         assert np.all(scan.var_x > 0) and np.all(scan.var_y > 0)
 
+    def test_large_m_is_finite(self):
+        # eta^((m+1)/2) underflows at m = 3000, eta = 0.5
+        scan = squeezing_scan([3000], [0.5, 1.0])
+        vx, vy = quadrature_variances(nbs(NBSParams(0.5, 3000), SCAN_POLICY))
+        assert (scan.var_x[0, 0], scan.var_y[0, 0]) == pytest.approx((vx, vy), rel=1e-10)
+        assert scan.var_x[0, 1] == scan.var_y[0, 1] == pytest.approx(6001 / 4, rel=1e-12)
+        s = variances_at(0.5, 3000)
+        assert (s.var_x, s.var_y) == pytest.approx((vx, vy), rel=1e-10)
+
     def test_matches_state_route(self):
         scan = squeezing_scan([3], [0.35])
         vx, vy = quadrature_variances(nbs(NBSParams(0.35, 3), SCAN_POLICY))
@@ -135,7 +144,7 @@ class TestScan:
         # one kernel serves both routes; a FockVector holds complex
         # amplitudes, whose sums round apart from the real block's, by
         # about an ulp of the moments (mean photon number (m + 1) / eta)
-        n_max = choose_n_max(eta, m, SCAN_POLICY)
+        n_max, _ = choose_n_max(eta, m, SCAN_POLICY)
         state = FockVector(nbs_amplitudes(np.array([eta]), m, n_max)[0], n_max)
         s = variances_at(eta, m)
         vx, vy = quadrature_variances(state)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nbstates.fock import TruncationError, TruncationPolicy, inner_product, pad_to
+from nbstates.fock import TruncationError, TruncationPolicy, inner_product, pad_to, tail_mass_nbs
 from nbstates.states import (
     NBSParams,
     PairBasisVector,
@@ -16,6 +16,7 @@ from nbstates.states import (
     two_mode_geometric,
     two_mode_nbs,
 )
+from nbstates.su11 import sech_squared
 
 
 def overlap_sq(a, b):
@@ -70,7 +71,7 @@ class TestNBS:
     @pytest.mark.parametrize("m", [0, 1, 7, 31])
     def test_array_eta_rows_match_scalar_calls(self, m):
         etas = [0.013, 0.2, 0.5, 0.77, 0.999, 1.0]
-        n_max = choose_n_max(0.013, m, TruncationPolicy(n_hard_cap=16384))
+        n_max, _ = choose_n_max(0.013, m, TruncationPolicy(n_hard_cap=16384))
         rows = nbs_amplitudes(np.array(etas), m, n_max)
         assert rows.shape == (len(etas), n_max + 1)
         for eta, row in zip(etas, rows):
@@ -116,9 +117,36 @@ class TestNBS:
 
     def test_choose_n_max_doubles_from_start(self):
         pol = TruncationPolicy()
-        n = choose_n_max(0.5, 1, pol)
+        n, _ = choose_n_max(0.5, 1, pol)
         assert n >= 33 and n <= pol.n_hard_cap
         assert n == 66  # one doubling of the m + 32 start
+
+    @pytest.mark.parametrize(
+        "eta,m,n_max",
+        [(0.9, 1, 33), (0.3, 1, 132), (0.1, 5, 592), (sech_squared(3.0), 0, 4096)],
+    )
+    def test_basis_sizes_of_the_default_policy(self, eta, m, n_max):
+        n, tail = choose_n_max(eta, m, TruncationPolicy())
+        assert (n, tail) == (n_max, tail_mass_nbs(eta, m, n_max))
+        assert tail < 1e-12
+        v = nbs(NBSParams(eta, m))
+        assert (v.n_max, v.tail_bound) == (n, tail)
+
+    @pytest.mark.parametrize("eta,m", [(0.5, 3000), (0.1, 700)])
+    def test_large_m_amplitudes_are_finite(self, eta, m):
+        # eta^((m+1)/2) underflows here while the ratio product overflows
+        nbinom = pytest.importorskip("scipy.stats").nbinom
+        v = nbs(NBSParams(eta, m), TruncationPolicy(n_hard_cap=16384))
+        want = np.exp(0.5 * nbinom.logpmf(np.arange(-m, v.n_max + 1 - m), m + 1, eta))
+        np.testing.assert_allclose(v.amplitudes.real, want, rtol=0, atol=1e-10)
+        assert abs(v.probabilities().sum() + v.tail_bound - 1.0) < 1e-10
+
+    def test_rows_below_the_normal_range_leave_the_others_alone(self):
+        etas = [0.5, 0.9, 1.0]
+        rows = nbs_amplitudes(np.array(etas), 3000, 12128)
+        assert np.isfinite(rows).all()
+        for eta, row in zip(etas, rows):
+            np.testing.assert_allclose(row, nbs_amplitudes(eta, 3000, 12128), rtol=1e-15, atol=0)
 
 
 class TestRaisingIdentities:
@@ -190,6 +218,23 @@ class TestExcitedGeometric:
         lost = nbinom.sf(v.n_max - m, m + 1, eta)
         assert lost > 0.0
         assert v.tail_bound >= lost * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("m", [40, 60, 150, 300])
+    def test_matches_nbs_at_large_m(self, m):
+        # the geometric state's own basis is too small for these m, and past
+        # m ~ 250 an unscaled creation product overflows
+        a = excited_geometric(0.5, m)
+        assert np.isfinite(a.amplitudes).all()
+        assert overlap_sq(a, nbs(NBSParams(0.5, m))) >= 1 - 1e-12
+
+    def test_underflowed_geometric_tail_is_cut(self):
+        # the geometric amplitudes underflow past n ~ 2043 at eta = 0.5
+        pol = TruncationPolicy(n_hard_cap=16384)
+        a = excited_geometric(0.5, 700, pol)
+        assert a.tail_bound >= tail_mass_nbs(0.5, 700, 700 + 2043)
+        assert overlap_sq(a, nbs(NBSParams(0.5, 700), pol)) >= 1 - 1e-12
+        with pytest.raises(TruncationError, match="geometric amplitudes underflow"):
+            excited_geometric(0.5, 3000, pol)
 
     def test_eta_one_number_state(self):
         a = excited_geometric(1.0, 2)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nbstates.fock import TruncationPolicy
+from nbstates.fock import TruncationError, TruncationPolicy
 from nbstates.states import NBSParams, geometric_state, nbs, number_state, sharpened
 from nbstates.stats import (
     factorial_moments,
@@ -54,6 +54,13 @@ class TestFactorialMoments:
         f1, f2 = factorial_moments(1.0, m)
         assert f1 == pytest.approx(m)
         assert f2 == pytest.approx(m * (m - 1))
+
+    @pytest.mark.parametrize("eta", [1e-170, 1e-160, 5e-324])
+    def test_second_moment_past_the_float_range_raises(self, eta):
+        # <N(N-1)> passes the float range, and eta**2 underflows to 0 below
+        # eta ~ 1.5e-162
+        with pytest.raises(TruncationError, match="overflows a float"):
+            factorial_moments(eta, 0)
 
     def test_first_moment_vs_distribution(self):
         eta, m = 0.35, 2

@@ -318,7 +318,7 @@ class TestExpmCore:
         assert v.n_max == target.n_max
         assert np.linalg.norm(v.amplitudes - target.amplitudes) < 1.51e-9
 
-    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         n=st.integers(1, 200),
         rho=st.floats(0.0, 500.0),
