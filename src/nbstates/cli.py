@@ -226,11 +226,10 @@ def _resolve(cmd: str, given: dict) -> dict:
     r = cfg["range"]
     if r is not None:
         cfg.update(x_min=-r, x_max=r, y_min=-r, y_max=r)
-    if cfg["x_max"] < cfg["x_min"] or cfg["y_max"] < cfg["y_min"]:
-        raise CliError(
-            "grid bounds must satisfy x-max >= x-min and y-max >= y-min, got "
-            f"[{cfg['x_min']}, {cfg['x_max']}] x [{cfg['y_min']}, {cfg['y_max']}]"
-        )
+    try:
+        GridSpec(*(cfg[key] for key in _GRID[:-1]))
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     return cfg
 
 

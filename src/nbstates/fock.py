@@ -40,6 +40,7 @@ DOMAINS = {
     "chi_t": (lambda v: math.isfinite(v) and v >= 0.0, "be a finite nonnegative real"),
     "s": (lambda v: -1.0 <= v <= 0.0, "lie in [-1, 0]"),
     "beta": (lambda v: bool(np.isfinite(v)), "be finite"),
+    "lam": (math.isfinite, "be finite"),
     **dict.fromkeys(("m", "offset_m", "n", "k", "n_max"),
                     (lambda v: index(v) >= 0, "be a nonnegative integer")),
     **dict.fromkeys(("nx", "ny"), (lambda v: index(v) >= 2, "be an integer >= 2")),

@@ -60,7 +60,6 @@ _BLOCK_ITEMS = 1 << 17
 # the Hermite recursion divides its values down by this when they pass it
 _RESCALE = 1e150
 _LOG_RESCALE = math.log(_RESCALE)
-_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -98,9 +97,16 @@ class GridSpec:
         for v in (self.x_min, self.x_max, self.y_min, self.y_max):
             if not math.isfinite(v):
                 raise ValueError("grid bounds must be finite")
+        window = f"[{self.x_min}, {self.x_max}] x [{self.y_min}, {self.y_max}]"
         if self.x_max < self.x_min or self.y_max < self.y_min:
-            raise ValueError("grid bounds must satisfy max >= min")
+            raise ValueError(f"grid bounds must satisfy max >= min, got {window}")
         check_domain(nx=self.nx, ny=self.ny)
+        # an infinite span makes the cell area inf or nan as well
+        cell = ((self.x_max - self.x_min) / (self.nx - 1)
+                * ((self.y_max - self.y_min) / (self.ny - 1)))
+        if not math.isfinite(cell):
+            raise ValueError(f"grid spans and cell area must be finite, got {window} "
+                             f"on {self.nx} x {self.ny} points")
 
     def xs(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.nx)
@@ -144,28 +150,37 @@ def displacement_matrix_element(n: int, k: int, beta: complex) -> complex:
     """<n| exp(beta a† - beta* a) |k> by the terminating descending sum.
 
     The finite sum runs over j = 0..min(n,k) with argument -1/|beta|^2;
-    the prefactor is kept in the log domain.  beta = 0 returns the exact
-    Kronecker delta.  Intended for moderate min(n, k); the distribution
-    engines never call this.
+    the prefactor e^L is kept in the log domain.  beta = 0 returns the
+    exact Kronecker delta.  The terms alternate and may cancel, so the
+    result carries the absolute rounding bound
+    2^-53 e^L ((min(n, k) + 2) sum_j |term_j| + |L| |sum_j term_j|), the
+    last part from exp(L); past 1e-10, or on a non-finite sum, this
+    raises ConvergenceError.  The distribution engines never call this.
     """
     check_domain(n=n, k=k, beta=beta)
     beta = complex(beta)
     if beta == 0:
         return 1.0 + 0.0j if n == k else 0.0 + 0.0j
     x = abs(beta) ** 2
-    total = 0.0
+    total = size = 0.0
     term = 1.0
     for j in range(min(n, k) + 1):
         total += term
+        size += abs(term)
         term *= -(n - j) * (k - j) / ((j + 1) * x)
     log_mag = (
         -0.5 * x
         + 0.5 * (n + k) * math.log(x)
         - 0.5 * (math.lgamma(n + 1) + math.lgamma(k + 1))
     )
+    mag = math.exp(log_mag)
+    bound = 2.0**-53 * mag * ((min(n, k) + 2) * size + abs(log_mag) * abs(total))
+    if not bound <= 1e-10:
+        raise ConvergenceError(f"<{n}|D(beta)|{k}> at |beta| = {abs(beta):.6g}: "
+                               f"rounding bound {bound:.3e} passes 1e-10")
     theta = cmath.phase(beta)
     phase = (-1.0) ** k * cmath.exp(1j * (n - k) * theta)
-    return math.exp(log_mag) * total * phase
+    return mag * total * phase
 
 
 def _displaced(amps, beta: complex, rows: int = 0) -> np.ndarray:
@@ -228,73 +243,55 @@ def s_distribution(state: FockVector, p: PhaseSpacePoint, s: float) -> float:
     return _point_value(state, p, s)
 
 
-def _overlap_log(c: np.ndarray, beta: complex) -> complex:
-    """<beta|state>, every coefficient built in the log domain.
+def _overlap(c: np.ndarray, beta: complex) -> complex:
+    """<beta|psi> = sum_n e^{-|beta|^2/2} conj(beta)^n / sqrt(n!) c_n, from the logs.
 
-    For |beta|^2 past ~1400, where e^{-|beta|^2/2} underflows and the
-    product conj(beta)^n / sqrt(n!) overflows.
+    beta = 0 gives c_0 exactly.  Where |beta|^2 leaves the float range every
+    coefficient is exp(-inf) = 0, exact to the float range, since
+    |<beta|psi>|^2 <= ||c||^2 P(Poisson(|beta|^2) <= len(c) - 1).
     """
+    if beta == 0:
+        return complex(c[0])
     n = np.arange(len(c))
-    half_log_fact = 0.5 * np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
-    r = np.abs(beta)
-    log_mag = n * np.log(r) - half_log_fact - 0.5 * r * r
-    return complex(np.exp(log_mag - 1j * np.angle(beta) * n) @ c)
+    r = abs(beta)
+    # -r^2/2 plus small steps log r - log(i)/2, rounding as a ratio product would
+    steps = np.concatenate(([-0.5 * r * r], math.log(r) - 0.5 * np.log(n[1:])))
+    return complex(np.exp(np.cumsum(steps) - 1j * cmath.phase(beta) * n) @ c)
 
 
 def q_function(state: FockVector, p: PhaseSpacePoint) -> float:
-    """(1/pi) |<beta|state>|^2 via the coherent-state coefficient sum."""
-    beta = p.beta
-    c = state.amplitudes
-    n = state.n_max
-    # conj coherent coefficients e^{-x/2} conj(beta)^n / sqrt(n!), prefolded
-    # so every partial product is a true coefficient
-    coef = np.empty(n + 1, dtype=complex)
-    coef[0] = math.exp(-0.5 * abs(beta) ** 2)
-    if n >= 1:
-        steps = np.conj(beta) / np.sqrt(np.arange(1.0, n + 1.0))
-        with np.errstate(over="ignore", invalid="ignore"):
-            coef[1:] = coef[0] * np.cumprod(steps)
-    # the prefactor has underflowed, or a partial product overflowed: once
-    # infinite, the product stays infinite (or NaN) up to its last entry
-    if coef[0].real < _TINY or not np.isfinite(coef[-1]):
-        ov = _overlap_log(c, beta)
-    else:
-        ov = np.sum(coef * c)
-    return float(abs(ov) ** 2 / math.pi)
+    """(1/pi) |<beta|state>|^2 via the coherent-state coefficient sum ``_overlap``."""
+    return abs(_overlap(state.amplitudes, p.beta)) ** 2 / math.pi
 
 
 def q_function_closed(params: NBSParams, p: PhaseSpacePoint) -> float:
     """Closed-form Q of the negative binomial state.
 
-    (1/pi) eta^(m+1) e^{-x} x^m / m! * |sum_j (conj(beta) sqrt(1-eta))^j
-    / sqrt(j!)|^2 with x = |beta|^2.
+    <beta|NB> = e^{-x/2} conj(beta)^m eta^((m+1)/2) / sqrt(m!) sum_j w^j / sqrt(j!),
+    x = |beta|^2, w = conj(beta) sqrt(1-eta), so Q = (1/pi) e^P |S|^2 with
+    P = (m+1) log eta - eta x + m log x - log m! and S the ``_overlap`` of unit
+    amplitudes at conj(w): terms of moduli sqrt(p_j), p_j = Poisson(y = |w|^2).
+    |S|^2 <= 2 + 2 pi sqrt(y) (Cauchy-Schwarz), so Q is 0.0 once
+    P + log(2/pi + 2 sqrt(y)) < log 2^-1075.  Else S stops at J = ceil(y + t),
+    t^2 = 4 L (y + t/3), L = log(2 (1 + sqrt(y)) / 1e-20): by the ratio test and
+    Bernstein's Poisson tail the dropped terms sum to under 1e-20, and Q
+    (pi Q <= 1) moves by under 1e-20.  A J past 2^20 raises TruncationError.
     """
     eta, m = params.eta, params.m
-    beta = p.beta
-    x = abs(beta) ** 2
-    if x == 0.0:
+    r = abs(p.beta)
+    if r == 0.0:
         return eta / math.pi if m == 0 else 0.0
-    w = np.conj(beta) * math.sqrt(1.0 - eta)
-    total = 0.0j
-    term = 1.0 + 0.0j
-    scale = 1.0
-    j = 0
-    while True:
-        total += term
-        scale = max(scale, abs(total))
-        j += 1
-        term *= w / math.sqrt(j)
-        if j > abs(w) ** 2 + 8 and abs(term) < 1e-20 * scale:
-            break
-        if j > 100000:
-            raise ConvergenceError("closed-form overlap sum did not terminate")
-    log_pref = (
-        (m + 1) * math.log(eta)
-        - x
-        + (m * math.log(x) if m > 0 else 0.0)
-        - math.lgamma(m + 1)
-    )
-    return float(math.exp(log_pref) * abs(total) ** 2 / math.pi)
+    log_pref = ((m + 1) * math.log(eta) - eta * r * r + 2 * m * math.log(r)
+                - math.lgamma(m + 1))
+    root_y = r * math.sqrt(1.0 - eta)
+    if log_pref + math.log(2.0 / math.pi + 2.0 * root_y) < -1075 * math.log(2.0):
+        return 0.0
+    y, big_l = root_y * root_y, math.log(2e20 * (1.0 + root_y))
+    j_top = math.ceil(y + 2.0 * big_l / 3.0 + 2.0 * math.sqrt(big_l * (big_l / 9.0 + y)))
+    if j_top > 1 << 20:
+        raise TruncationError(f"closed-form Q needs {j_top} terms at |beta| = {r:.6g}")
+    s = _overlap(np.ones(j_top + 1), p.beta * math.sqrt(1.0 - eta))
+    return math.exp(log_pref) * abs(s) ** 2 / math.pi
 
 
 def displaced_number_state(beta: complex, k: int, n_max: int) -> FockVector:

@@ -35,7 +35,7 @@ def generating_function(lam: float, eta: float, m: int) -> float:
     Closed form lam^m * (eta / (1 + lam*eta - lam))^(m+1); the base must
     stay positive, which fails once lam*(1-eta) >= 1.
     """
-    check_domain(eta=eta, m=m)
+    check_domain(lam=lam, eta=eta, m=m)
     base = 1.0 + lam * eta - lam
     if base <= 0.0:
         raise ValueError(

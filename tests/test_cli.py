@@ -333,6 +333,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("window", [["--range", "1e300"], ["--x-min=-1e308", "--x-max=1e308"]])
+    def test_overflowing_window_is_an_argument_error(self, window, capsys):
+        argv = ["wigner", "--eta", "0.5", "--m", "1", "--nx", "3", "--ny", "3", "--format", "json"]
+        assert main(argv + window) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: grid spans and cell area must be finite")
+        assert out.err.count("\n") == 1
+
     def test_run_reports_argument_errors_as_1(self, capsys):
         assert main(["stats", "--eta", "nope", "--m", "1"]) == 1
 

@@ -37,6 +37,8 @@ _OUTSIDE = [
     (mandel_q, (0.0, 1), "eta must be in (0, 1], got 0.0"),
     (factorial_moments, (-0.5, 1), "eta must be in (0, 1], got -0.5"),
     (generating_function, (0.5, 0.5, -1), "m must be a nonnegative integer, got -1"),
+    (generating_function, (math.nan, 0.5, 1), "lam must be finite, got nan"),
+    (generating_function, (math.inf, 0.5, 1), "lam must be finite, got inf"),
     (tail_mass_nbs, (0.5, 1.5, 10), "m must be a nonnegative integer, got 1.5"),
     (tail_mass_nbs, (0.5, 0, 2.5), "n_max must be a nonnegative integer, got 2.5"),
     (tail_mass_nbs, (0.5, 0, -1), "n_max must be a nonnegative integer, got -1"),

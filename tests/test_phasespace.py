@@ -1,7 +1,10 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from nbstates._expm import boundary_mass
@@ -82,6 +85,17 @@ class TestMatrixElement:
         with pytest.raises(ValueError):
             displacement_matrix_element(-1, 0, 0.5)
 
+    @pytest.mark.parametrize("n,k,beta", [(50, 50, 3.0), (200, 200, 3.0), (150, 150, 0.5)])
+    def test_cancellation_past_the_rounding_bound_raises(self, n, k, beta):
+        # the sum was off by 6.1e-4, -1.46e14 and NaN here
+        with pytest.raises(ConvergenceError, match="rounding bound"):
+            displacement_matrix_element(n, k, beta)
+
+    def test_within_the_rounding_bound(self):
+        # the bound is 2.6e-11 here, the realised error 1.1e-13
+        want = displaced_number_state(0.5, 100, 300).amplitudes[100]
+        assert abs(displacement_matrix_element(100, 100, 0.5) - want) < 1e-10
+
 
 class TestDisplacedNumberState:
     def test_zero_displacement(self):
@@ -154,6 +168,42 @@ class TestQFunction:
                     assert abs(
                         q_function(state, p) - q_function_closed(params, p)
                     ) < 1e-10
+
+    @settings(max_examples=60)
+    @given(
+        eta=st.floats(0.05, 1.0),
+        m=st.integers(0, 30),
+        r=st.floats(0.0, 45.0),
+        angle=st.floats(-math.pi, math.pi),
+    )
+    @example(eta=0.5, m=1, r=40.0, angle=0.0)
+    @example(eta=0.1, m=5, r=40.0, angle=0.0)
+    def test_closed_form_matches_generic_over_the_domain(self, eta, m, r, angle):
+        # the closed form gave NaN at (0.5, 1) and did not terminate at (0.1, 5)
+        params = NBSParams(eta, m)
+        state = nbs(params)
+        p = P.from_complex(cmath.rect(r, angle))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            generic, closed = q_function(state, p), q_function_closed(params, p)
+        assert 0.0 <= generic <= 1.0 / math.pi
+        assert 0.0 <= closed <= 1.0 / math.pi
+        # the truncated state moves <beta|psi> by at most sqrt(tail)
+        t = state.tail_bound
+        assert abs(generic - closed) <= (2.0 * math.sqrt(t) + t) / math.pi + 1e-14
+
+    @pytest.mark.parametrize("r", [1e3, 1e155, 1e200, 1e300])
+    def test_far_points_are_zero(self, r):
+        for params in (NBSParams(0.5, 1), NBSParams(0.1, 5)):
+            state = nbs(params)
+            for p in (P(r, 0.0), P(0.0, -r)):
+                assert q_function(state, p) == 0.0
+                assert q_function_closed(params, p) == 0.0
+
+    def test_closed_form_past_its_length_limit_raises(self):
+        # the series would need 4.0e6 terms here; it is refused before any array
+        with pytest.raises(TruncationError, match="closed-form Q needs"):
+            q_function_closed(NBSParams(1e-4, 0), P(2000.0, 0.0))
 
     def test_closed_form_origin(self):
         assert q_function_closed(NBSParams(0.7, 0), P(0, 0)) == pytest.approx(
@@ -259,6 +309,15 @@ class TestGrids:
             GridSpec(0.0, 1.0, 0.0, 1.0, 1, 5)
         with pytest.raises(ValueError):
             GridSpec(0.0, math.nan, 0.0, 1.0, 5, 5)
+
+    @pytest.mark.parametrize(
+        "bounds", [(-1e308, 1e308, -1.0, 1.0), (-1e300, 1e300, -1e300, 1e300)]
+    )
+    def test_spans_and_cell_area_must_be_finite(self, bounds):
+        # linspace gave [nan, inf, 1e308] on the first, riemann_sum -inf on the second
+        with pytest.raises(ValueError, match="cell area must be finite"):
+            GridSpec(*bounds, 3, 3)
+        assert GridSpec.square(1e6, 3, 3).nx == 3
 
     def test_square_helper(self):
         s = GridSpec.square(4.0, 11, 11)

@@ -329,15 +329,24 @@ class TestExpmCore:
     def test_random_bands_within_tol(self, n, rho, complex_band, tol, seed):
         up, v, g = self._band(n, rho, complex_band, seed)
         got = expm_apply_skew(up, v, tol)
-        # dense expm rounds at about rho * eps on its own
+        # the reference, exp(G) from the eigenvectors of the Hermitian iG,
+        # rounds at about rho * eps on its own; scipy's scaling-and-squaring
+        # expm does not (2.5e-12 on the 2 x 2 band of norm 251)
+        lam, vecs = np.linalg.eigh(1j * g)
+        want = vecs @ (np.exp(-1j * lam) * (vecs.conj().T @ v))
         slack = tol + 1e-14 * max(rho, 1.0)
-        assert np.linalg.norm(got - expm(g) @ v) < slack
+        assert np.linalg.norm(got - want) < slack
         assert abs(np.linalg.norm(got) - 1.0) < slack
 
-    def test_series_matches_dense(self):
-        rng = np.random.default_rng(5)
-        n = 30
-        a = np.diag(rng.standard_normal(n), k=-1) * 0.4
+    @pytest.mark.parametrize(
+        "seed,n,scale,k",
+        [(5, 30, 0.4, -1), (6, 30, 0.4, 1), (7, 1, 1.0, -1), (8, 120, 1.0, -1),
+         (9, 60, 0.8 + 0.6j, 1)],
+    )
+    def test_series_matches_dense(self, seed, n, scale, k):
+        # strictly triangular bands, so the series is a finite sum
+        rng = np.random.default_rng(seed)
+        a = np.diag(rng.standard_normal(n), k=k) * scale
         v = rng.standard_normal(n + 1)
         got = apply_series(lambda w: a @ w, v.astype(complex))
         expect = expm(a) @ v

@@ -1,0 +1,69 @@
+"""Compare the bytes of the `nbs` command line between two source trees.
+
+Usage: python tools/golden_cli.py OLD_SRC NEW_SRC
+
+Runs each golden command below, `nbs verify` last, as
+`python -m nbstates ...` from each tree (PYTHONPATH and the working
+directory set to it, OPENBLAS_NUM_THREADS=1), one command at a time,
+and prints per command whether stdout, stderr and the exit code are
+identical.  Exits 0 only if every command matches.  Standard library
+only.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+GOLDEN = (
+    "stats --eta 0.8 --m 3",
+    "stats --eta 0.3 --m 1 --format csv",
+    "squeeze-scan --m 7",
+    "squeeze-scan --m 7 --format json",
+    "squeeze-scan --m 31",
+    "squeeze-scan --m 0 --eta-step 0.01",
+    "qfunc --eta 0.5 --m 2",
+    "qfunc --eta 0.5 --m 2 --format json",
+    "wigner --eta 0.3 --m 1",
+    "wigner --eta 0.1 --m 5 --nx 81 --ny 81",
+    "wigner --eta 0.9 --m 1 --format json",
+    "sdist --eta 0.5 --m 1 --s -0.5",
+    "evolve --chi-t 2.0 --m 2 --steps 9",
+    "evolve --chi-t 2.0 --scheme parametric --format json",
+    "evolve --chi-t 50 --steps 2",
+    "stats --eta 0.5 --m 3000",
+    "stats --eta 0.5 --m 1500 --tail-eps 1e-9",
+    "qfunc --eta 0.5 --m 1 --range 1e6 --nx 3 --ny 3",
+    "verify",
+)
+
+
+def run(src: str, command: str) -> tuple[bytes, bytes, int]:
+    """stdout, stderr and exit code of `nbs <command>` run from the tree at src."""
+    src = os.path.abspath(src)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "nbstates", *command.split()],
+                          cwd=src, env=env, capture_output=True, timeout=600)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or not all(os.path.isdir(os.path.join(d, "nbstates")) for d in argv):
+        print("usage: golden_cli.py OLD_SRC NEW_SRC (each a directory holding nbstates/)",
+              file=sys.stderr)
+        return 2
+    old, new = argv
+    differ = 0
+    for command in GOLDEN:
+        parts = zip(("stdout", "stderr", "exit code"), run(old, command), run(new, command))
+        changed = [name for name, a, b in parts if a != b]
+        differ += bool(changed)
+        verdict = "differ: " + ", ".join(changed) if changed else "identical"
+        print(f"nbs {command}: {verdict}")
+    print(f"{len(GOLDEN) - differ} of {len(GOLDEN)} commands identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
