@@ -108,7 +108,7 @@ _OPTIONS = {opt.key: opt for opt in (
                    "be a finite non-negative half-width"),
             field=None),
     _Option("eta_step", float, 1e-3, "eta grid step (default 1e-3)",
-            (lambda v: 0.0 < v <= 0.1, "lie in (0, 0.1]")),
+            (lambda v: 1e-6 <= v <= 0.1, "lie in [1e-6, 0.1]")),
     _Option("tail_eps", float, TruncationPolicy.tail_eps,
             f"basis truncation tolerance (default {TruncationPolicy.tail_eps:g})",
             (lambda v: 0.0 < v <= 1e-6, "lie in (0, 1e-6]"), metavar="EPS"),

@@ -1,27 +1,24 @@
 """Q function, Wigner function, and s-parametrized quasiprobabilities.
 
-Single points are built from displaced-number overlaps
-q_k(beta) = |<k| D(-beta) |psi>|^2:
+The s-ordered family F(beta; s), s = -1 the Q function and s = 0 the
+Wigner function, in the convention where every member integrates to 1
+over dx dy, beta = x + iy.
 
-    F(beta; s) = (2/pi) sum_k (-1)^k (1+s)^k / (1-s)^(k+1) q_k
+W and S have one engine, for grids and single points alike.  It
+evaluates the wave function psi(q) = sum_n c_n phi_n(q) once, on one
+q-lattice, and sums the Fourier integral of conj psi(q+u) psi(q-u) by
+the trapezoid rule, which converges exponentially on this integrand;
+S adds a Gaussian along u and one smoothing kernel along the lattice of
+centres.  A single point is the engine at one centre.  Points beyond
+the state's support get 0 within a stated absolute bound, so the work
+grows neither with the window nor with |beta|.
 
-with s = -1 the Q function and s = 0 the Wigner function.  The q_k are
-computed by applying the displacement exp(-beta a† + beta* a) to the
-state with the banded-exponential engine, which is uniformly stable in
-beta and basis size (three-term recurrences for the overlaps are not:
-they amplify roundoff catastrophically whenever |beta|^2 is small
-compared to the photon cutoff).
-
-Grids take another route.  W and S grids evaluate the wave function
-psi(q) = sum_n c_n phi_n(q) once, on one q-lattice, and sum the Fourier
-integral of conj psi(q+u) psi(q-u) by the trapezoid rule, which
-converges exponentially on this integrand; S adds a Gaussian along u
-and one smoothing kernel along the lattice of centres.  Points beyond
-the state's support get 0 within a stated bound, so the work does not
-grow with the window.  Q grids take the same wave function on one
-lattice and sum the windowed-Fourier integral <beta|psi> against the
-coherent state's Gaussian as one matrix product per grid, so Q >= 0 by
-construction.  The pointwise functions stay the independent oracle.
+Q grids take the same wave function on one lattice and sum the
+windowed-Fourier integral <beta|psi> against the coherent state's
+Gaussian as one matrix product per grid, so Q >= 0 by construction; a
+single Q point is the coherent overlap summed in the log domain.  The
+displaced number states D(beta)|k> come from the banded-exponential
+engine.
 """
 
 from __future__ import annotations
@@ -50,13 +47,13 @@ __all__ = [
     "wigner",
 ]
 
-_TWO_OVER_PI = 2.0 / math.pi
-_SERIES_TOL = 1e-10
 _SQRT2 = math.sqrt(2.0)
 # a priori bound on each error term of the grid engines (_grid_walk, _grid_q)
 _GRID_EPS = 1e-16
-# grid engine blocks hold at most this many products (2 MiB complex)
+# grid engine blocks hold at most this many products (2 MiB complex), built
+# in slabs of at most _SLAB_ITEMS, so that their temporaries stay small
 _BLOCK_ITEMS = 1 << 17
+_SLAB_ITEMS = 1 << 13
 # the Hermite recursion divides its values down by this when they pass it
 _RESCALE = 1e150
 _LOG_RESCALE = math.log(_RESCALE)
@@ -147,13 +144,19 @@ class PhaseSpaceGrid:
 
 
 def displacement_matrix_element(n: int, k: int, beta: complex) -> complex:
-    """<n| exp(beta a† - beta* a) |k> by the terminating descending sum.
+    """<n| exp(beta a† - beta* a) |k> by the terminating sum, from log|beta|.
 
-    The finite sum runs over j = 0..min(n,k) with argument -1/|beta|^2;
-    the prefactor e^L is kept in the log domain.  beta = 0 returns the
-    exact Kronecker delta.  The terms alternate and may cancel, so the
+    With x = |beta|^2 and J = min(n, k) the sum has the terms
+    t_j = (-1)^j C(n, j) C(k, j) j! x^-j, j = 0..J, times the prefactor
+    e^L, L = -x/2 + ((n+k)/2) log x - (log n! + log k!)/2, log x taken
+    as 2 log|beta|.  The sum runs up from t_0 = 1 while |t_J| <= e^345
+    (about 1e150); past that, as when x underflows, it runs down from t_J,
+    whose logarithm joins L, so no term overflows or divides by x = 0.
+    beta = 0 returns the exact Kronecker delta, and a |beta|^2 that
+    overflows returns 0, as e^{-x/2} then outweighs the rest of e^L for
+    every n + k below 1e305.  The terms alternate and may cancel, so the
     result carries the absolute rounding bound
-    2^-53 e^L ((min(n, k) + 2) sum_j |term_j| + |L| |sum_j term_j|), the
+    2^-53 e^L ((J + 2) sum_j |term_j| + |L| |sum_j term_j|), the
     last part from exp(L); past 1e-10, or on a non-finite sum, this
     raises ConvergenceError.  The distribution engines never call this.
     """
@@ -161,86 +164,53 @@ def displacement_matrix_element(n: int, k: int, beta: complex) -> complex:
     beta = complex(beta)
     if beta == 0:
         return 1.0 + 0.0j if n == k else 0.0 + 0.0j
-    x = abs(beta) ** 2
-    total = size = 0.0
-    term = 1.0
-    for j in range(min(n, k) + 1):
+    r = abs(beta)
+    x = r * r
+    if x == math.inf:
+        return 0.0 + 0.0j
+    log_x, j_top = 2.0 * math.log(r), min(n, k)
+    log_mag = (-0.5 * x + 0.5 * (n + k) * log_x
+               - 0.5 * (math.lgamma(n + 1) + math.lgamma(k + 1)))
+    # log |t_J| = log (n! k! / (J! (n-J)! (k-J)!)) - J log x
+    log_last = (math.lgamma(n + 1) + math.lgamma(k + 1) - math.lgamma(j_top + 1)
+                - math.lgamma(n - j_top + 1) - math.lgamma(k - j_top + 1) - j_top * log_x)
+    up = log_last <= 345.0
+    if not up:
+        log_mag += log_last
+    term = total = 1.0 if up else (-1.0) ** j_top
+    size = 1.0
+    for j in range(j_top):
+        if up:
+            term *= -(n - j) * (k - j) / ((j + 1) * x)
+        else:
+            term *= -(j_top - j) * x / ((n - j_top + j + 1) * (k - j_top + j + 1))
         total += term
         size += abs(term)
-        term *= -(n - j) * (k - j) / ((j + 1) * x)
-    log_mag = (
-        -0.5 * x
-        + 0.5 * (n + k) * math.log(x)
-        - 0.5 * (math.lgamma(n + 1) + math.lgamma(k + 1))
-    )
     mag = math.exp(log_mag)
-    bound = 2.0**-53 * mag * ((min(n, k) + 2) * size + abs(log_mag) * abs(total))
+    bound = 2.0**-53 * mag * ((j_top + 2) * size + abs(log_mag) * abs(total))
     if not bound <= 1e-10:
-        raise ConvergenceError(f"<{n}|D(beta)|{k}> at |beta| = {abs(beta):.6g}: "
+        raise ConvergenceError(f"<{n}|D(beta)|{k}> at |beta| = {r:.6g}: "
                                f"rounding bound {bound:.3e} passes 1e-10")
     theta = cmath.phase(beta)
     phase = (-1.0) ** k * cmath.exp(1j * (n - k) * theta)
     return mag * total * phase
 
 
-def _displaced(amps, beta: complex, rows: int = 0) -> np.ndarray:
-    """exp(beta a† - beta* a) applied to ``amps`` on a workspace of >= rows + 1 rows.
-
-    With N the top index of amps and x = |beta|^2, the workspace spans the
-    shift N + x plus eight times the larger of sqrt(x + N + 1) and the
-    photon-number spread sqrt(x (2N + 1)) of D(beta)|N>.  The spread comes
-    from N, not from the mean photon number: D(beta) acts on each |n>
-    alone, so a small weight on a high |n> still reaches that far.
-    Raises TruncationError when its top two amplitudes hold more than
-    ``boundary_mass`` allows at the default basis tolerance.
-    """
-    n_top = len(amps) - 1
-    x = abs(beta) ** 2
-    spread = max(math.sqrt(x + n_top + 1.0), math.sqrt(x * (2.0 * n_top + 1.0)))
-    w = max(rows, math.ceil(n_top + x + 8.0 * spread + 40.0))
-    v = np.zeros(w + 1, dtype=complex)
-    v[: n_top + 1] = amps
-    phi = expm_apply_skew(beta * np.sqrt(np.arange(1.0, w + 1.0)), v, tol=1e-13)
-    boundary_mass(phi, TruncationPolicy().tail_eps, "the displaced state")
-    return phi
-
-
-def _point_value(state: FockVector, p: PhaseSpacePoint, s: float) -> float:
-    """(2/pi) sum_k w_k q_k(beta), w_k = (-u)^k / (1-s), u = (1+s)/(1-s).
-
-    The one body of ``wigner`` and ``s_distribution``; neither calls the
-    other.  The sum runs over the whole displaced workspace.  The check
-    after it covers a norm-deficient input: 1 - sum_k q_k is the mass the
-    input lacks (the truncated exponential is unitary), times the weight
-    envelope u |w_K| at the last k = K; past 1e-10 this raises
-    ConvergenceError.  The workspace edge is guarded by ``_displaced``.
-    """
-    beta = p.beta
-    # exact limit at beta = 0: the displaced-number overlaps collapse to |c_k|^2
-    q = np.abs(_displaced(state.amplitudes, -beta) if beta else state.amplitudes) ** 2
-    u = (1.0 + s) / (1.0 - s)
-    weights = np.cumprod(np.concatenate(([1.0 / (1.0 - s)], np.full(len(q) - 1, -u))))
-    bound = _TWO_OVER_PI * abs(weights[-1]) * u * max(0.0, 1.0 - float(q.sum()))
-    if bound >= _SERIES_TOL:
-        raise ConvergenceError(f"series tail bound {bound:.3e} still above "
-                               f"{_SERIES_TOL} after {len(q)} terms")
-    return _TWO_OVER_PI * float(weights @ q)
-
-
 def wigner(state: FockVector, p: PhaseSpacePoint) -> float:
-    """(2/pi) sum_k (-1)^k q_k(beta) over the displaced workspace.
+    """W at one point: the grid engine ``_grid_walk`` at the one centre p.
 
-    Raises ConvergenceError if the state's norm deficit may move it by
-    1e-10, and TruncationError if the displaced state reaches the
-    workspace edge.
+    Its bound is absolute, 1e-16 per error term, not relative: far
+    outside the state's support a value is tiny but may have the wrong sign.
     """
-    return _point_value(state, p, 0.0)
+    centre = (np.array([p.x]), np.array([p.y]), 0.0)
+    return float(_grid_walk(state, centre, 0.0)[0, 0])
 
 
 def s_distribution(state: FockVector, p: PhaseSpacePoint, s: float) -> float:
-    """Quasiprobability at ordering parameter s in [-1, 0], summed as in ``wigner``."""
+    """Quasiprobability at ordering parameter s in [-1, 0], at one centre as in ``wigner``."""
     check_domain(s=s)
-    return _point_value(state, p, s)
+    centre = (np.array([p.x]), np.array([p.y]), 0.0)
+    return float(_grid_walk(state, centre, float(s))[0, 0])
 
 
 def _overlap(c: np.ndarray, beta: complex) -> complex:
@@ -295,13 +265,27 @@ def q_function_closed(params: NBSParams, p: PhaseSpacePoint) -> float:
 
 
 def displaced_number_state(beta: complex, k: int, n_max: int) -> FockVector:
-    """D(beta)|k> truncated to n_max, with the lost mass in tail_bound."""
+    """D(beta)|k> truncated to n_max, with the lost mass in tail_bound.
+
+    The banded exponential runs on a workspace of at least n_max + 1
+    rows that, with x = |beta|^2, spans the shift k + x plus eight times
+    the larger of sqrt(x + k + 1) and the photon-number spread
+    sqrt(x (2k + 1)) of D(beta)|k>.  Raises TruncationError when its top
+    two amplitudes hold more than ``boundary_mass`` allows at the default
+    basis tolerance, or when more than 1e-8 of the norm lies past n_max.
+    """
     check_domain(k=k, beta=beta)
     if k > n_max:
         raise ValueError(f"need k <= n_max, got k={k}, n_max={n_max}")
-    v = np.zeros(k + 1)
+    beta = complex(beta)
+    x = abs(beta) ** 2
+    spread = max(math.sqrt(x + k + 1.0), math.sqrt(x * (2.0 * k + 1.0)))
+    w = max(n_max, math.ceil(k + x + 8.0 * spread + 40.0))
+    v = np.zeros(w + 1, dtype=complex)
     v[k] = 1.0
-    amps = _displaced(v, complex(beta), n_max)[: n_max + 1]
+    phi = expm_apply_skew(beta * np.sqrt(np.arange(1.0, w + 1.0)), v, tol=1e-13)
+    boundary_mass(phi, TruncationPolicy().tail_eps, "the displaced state")
+    amps = phi[: n_max + 1]
     leak = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
     if leak > 1e-8:
         raise TruncationError(
@@ -310,13 +294,13 @@ def displaced_number_state(beta: complex, k: int, n_max: int) -> FockVector:
     return FockVector(amps, n_max, leak)
 
 
-def _grid_start(state: FockVector, spec: GridSpec, margin: float):
-    """The zero grid, and None or (c, rho_W, sqrt2 xs, sqrt2 ys, cols, rows).
+def _grid_start(state: FockVector, xs: np.ndarray, ys: np.ndarray, margin: float):
+    """The zero (ys, xs) grid, and None or (c, rho_W, sqrt2 xs, sqrt2 ys, cols, rows).
 
     c runs to the last nonzero amplitude (real when none has an imaginary
     part); cols and rows index the points within rho_W + margin of 0.
     """
-    out = np.zeros((spec.ny, spec.nx))
+    out = np.zeros((len(ys), len(xs)))
     c = state.amplitudes
     occupied = np.flatnonzero(c)
     if occupied.size == 0:
@@ -324,7 +308,7 @@ def _grid_start(state: FockVector, spec: GridSpec, margin: float):
     c = c[: occupied[-1] + 1]
     c = c if np.any(c.imag) else c.real
     rho_w = _support_extent(len(c) - 1)
-    qx, qy = _SQRT2 * spec.xs(), _SQRT2 * spec.ys()
+    qx, qy = _SQRT2 * xs, _SQRT2 * ys
     cols = np.flatnonzero(np.abs(qx) <= rho_w + margin)
     rows = np.flatnonzero(np.abs(qy) <= rho_w + margin)
     if cols.size == 0 or rows.size == 0:
@@ -365,7 +349,7 @@ def _grid_q(state: FockVector, spec: GridSpec) -> np.ndarray:
     below the same bounds.  The lattice never grows with the window.
     """
     reach = math.sqrt(-2.0 * math.log(_GRID_EPS))
-    out, start = _grid_start(state, spec, reach)
+    out, start = _grid_start(state, spec.xs(), spec.ys(), reach)
     if start is None:
         return out
     c, rho_w, q0, p0, cols, rows = start
@@ -459,8 +443,11 @@ def _wave_function(c: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_walk(state: FockVector, spec: GridSpec, s: float) -> np.ndarray:
-    """W (s = 0) or S (-1 <= s < 0) over the grid by Fourier quadrature.
+def _grid_walk(state: FockVector, window: tuple, s: float) -> np.ndarray:
+    """W (s = 0) or S (-1 <= s < 0) over a window by Fourier quadrature.
+
+    window is (xs, ys, step): the column centres, the row values and the
+    column step in q = sqrt2 x (0 for one column or a degenerate window).
 
     With q = sqrt2 x and psi(q) = sum_n c_n phi_n(q) evaluated once on
     one q-lattice of step h,
@@ -474,13 +461,14 @@ def _grid_walk(state: FockVector, spec: GridSpec, s: float) -> np.ndarray:
     DFT of e^{-t k^2 / 4}.  kappa is exact for every t and is the exact
     delta at t = 0, where only the grid's own columns are computed.
 
-    Lattice: h = sqrt2 dx / k with k = ceil(sqrt2 dx / h_max), so every
-    column centre is a node.  Columns closer than h_max fall into
-    classes ``stride`` columns apart, each on a lattice of step
-    stride sqrt2 dx (past nx columns, one lattice per column), so h
-    stays in (h_max / 2, h_max] however narrow the window.  Let N be
-    the top occupied photon number, rho_W the ``_support_extent`` of N
-    and rho = rho_W + sqrt(t ln(4 / (pi eps))), eps = _GRID_EPS.
+    Lattice: h = step / k with k = ceil(step / h_max), so every column
+    centre is a node.  Columns closer than h_max fall into classes
+    ``stride`` columns apart, each on a lattice of step stride * step
+    (past len(xs) columns, one lattice per column), so h stays in
+    (h_max / 2, h_max] however narrow the window; step 0 takes h_max.
+    Let N be the top occupied photon number, rho_W the
+    ``_support_extent`` of N and rho = rho_W + sqrt(t ln(4 / (pi eps))),
+    eps = _GRID_EPS.
     h_max = pi / (rho + sqrt2 |y|max), i.e. 2 pi over the bandwidth
     2 sqrt(2N+1) + 2 sqrt2 |y|max plus twice the margin
     rho - sqrt(2N+1); for t > 0 also h_max <= pi / (2 rho_W), the band
@@ -497,11 +485,13 @@ def _grid_walk(state: FockVector, spec: GridSpec, s: float) -> np.ndarray:
     most (8/pi) sqrt(T(rho_W)) <= eps, and the support clip - points
     with |sqrt2 x| or |sqrt2 y| > rho, which get 0 - at most eps.
     Each term is bounded by eps = 1e-16 (times sum |kappa| for S), and
-    the lattice never grows with the window: it spans |q| <= rho only.
+    the lattice never grows with the window or with |beta|: it spans
+    |q| <= rho only.
     """
     t = -float(s)
     margin = math.sqrt(t * math.log(4.0 / (math.pi * _GRID_EPS)))
-    out, start = _grid_start(state, spec, margin)
+    xs, ys, step_x = window
+    out, start = _grid_start(state, xs, ys, margin)
     if start is None:
         return out
     c, rho_w, qx, qy, cols, rows = start
@@ -510,14 +500,13 @@ def _grid_walk(state: FockVector, spec: GridSpec, s: float) -> np.ndarray:
     h_max = math.pi / (rho + float(np.abs(qy[rows]).max()))
     if t > 0.0:
         h_max = min(h_max, math.pi / (2.0 * rho_w))
-    step_x = _SQRT2 * (spec.x_max - spec.x_min) / (spec.nx - 1)
     if step_x >= h_max:
         h, stride = step_x / math.ceil(step_x / h_max), 1
     elif step_x > 0.0:
         # columns closer than h_max: those ``stride`` apart share a lattice,
-        # and past nx columns each column has a lattice of its own
-        stride = min(int(h_max // step_x), spec.nx)
-        h = stride * step_x if stride < spec.nx else h_max
+        # and past len(xs) columns each column has a lattice of its own
+        stride = min(int(h_max // step_x), len(xs))
+        h = stride * step_x if stride < len(xs) else h_max
     else:
         h, stride = h_max, 1
 
@@ -529,8 +518,9 @@ def _grid_walk(state: FockVector, spec: GridSpec, s: float) -> np.ndarray:
     phase = 2.0 * np.outer(lh, qy[rows])
     cos_w = weight[:, None] * np.cos(phase)
     sin_w = weight[:, None] * np.sin(phase) if c.dtype == complex else None
-    for r in np.unique(cols % stride):
-        part = cols[cols % stride == r]
+    # cols is one run of adjacent columns, so each class is a slice of it
+    for r in range(min(stride, cols.size)):
+        part = cols[r::stride]
         values = _lattice_sums(c, qx[part], h, rho, rho_w + h, t, cos_w, sin_w)
         out[np.ix_(rows, part)] = values.T
     return out
@@ -570,10 +560,14 @@ def _lattice_sums(c, centres, h, rho, reach, t, cos_w, sin_w) -> np.ndarray:
     )
     g = np.empty((len(sources), cos_w.shape[1]))
     block = max(1, _BLOCK_ITEMS // (n_off + 1))
+    slab = max(1, _SLAB_ITEMS // (n_off + 1))
     for lo in range(0, len(sources), block):
         src = sources[lo:lo + block]
-        # f[b, l] = conj psi(c_b + l h) psi(c_b - l h)
-        f = np.conj(windows[src + n_off]) * windows[src][:, ::-1]
+        # f[b, l] = conj psi(c_b + l h) psi(c_b - l h), built a slab of rows at a time
+        f = np.empty((len(src), n_off + 1), psi.dtype)
+        for a in range(0, len(src), slab):
+            part = src[a:a + slab]
+            f[a:a + slab] = np.conj(windows[part + n_off]) * windows[part][:, ::-1]
         if sin_w is None:
             g[lo:lo + block] = f @ cos_w
         else:
@@ -592,13 +586,14 @@ def grid_evaluate(
     """
     if kind == "Q":
         values = _grid_q(state, spec)
-    elif kind == "W":
-        values = _grid_walk(state, spec, 0.0)
-    elif kind == "S":
-        if s is None:
+    elif kind in ("W", "S"):
+        if kind == "W":
+            s = 0.0
+        elif s is None:
             raise ValueError("kind 'S' requires the ordering parameter s")
         check_domain(s=s)
-        values = _grid_walk(state, spec, float(s))
+        step = _SQRT2 * (spec.x_max - spec.x_min) / (spec.nx - 1)
+        values = _grid_walk(state, (spec.xs(), spec.ys(), step), float(s))
     else:
         raise ValueError(f"unknown grid kind {kind!r}; expected Q, W, or S")
     dx = (spec.x_max - spec.x_min) / (spec.nx - 1)

@@ -274,17 +274,20 @@ def criterion_phase_space_identities() -> CheckResult:
     if abs(w_origin + 2.0 / math.pi) >= 1e-8:
         problems.append(f"single-photon origin value {w_origin:.10f}")
 
+    # S(-1) against the coherent overlap Q, and W(0) against the parity
+    # identity W(0) = (2/pi) sum_n (-1)^n |c_n|^2
     worst_red = 0.0
     for eta, m in ((0.5, 0), (0.3, 1)):
         state = nbs(NBSParams(eta, m))
+        probs = state.probabilities()
+        parity = 2.0 / math.pi * float(probs @ (-1.0) ** np.arange(len(probs)))
+        worst_red = max(worst_red, abs(wigner(state, PhaseSpacePoint(0, 0)) - parity))
         for beta in (0.0, 0.7, 1.1 - 0.6j):
             p = PhaseSpacePoint(beta.real, beta.imag) if isinstance(
                 beta, complex
             ) else PhaseSpacePoint(beta, 0.0)
             worst_red = max(
-                worst_red,
-                abs(s_distribution(state, p, -1.0) - q_function(state, p)),
-                abs(s_distribution(state, p, 0.0) - wigner(state, p)),
+                worst_red, abs(s_distribution(state, p, -1.0) - q_function(state, p))
             )
     if worst_red >= 1e-10:
         problems.append(f"endpoint reductions deviate {worst_red:.3e}")

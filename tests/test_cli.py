@@ -1,5 +1,7 @@
 """Command-line front end: parsing, precedence, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -7,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nbstates.cli import CliError, main, parse_config, read_grid_csv, run
 from nbstates.squeeze import default_eta_grid, squeezing_scan
@@ -198,16 +201,15 @@ class TestGridCommands:
             ["qfunc", "--range", "1e6"],
         ],
     )
-    def test_wide_window_is_finite_and_exact_at_the_centre(self, argv, capsys):
-        from nbstates import NBSParams, PhaseSpacePoint, nbs, q_function, s_distribution
+    def test_wide_window_is_finite_and_exact_at_the_centre(self, argv, capsys, reference):
+        from nbstates import NBSParams, nbs
 
         assert main(argv + ["--eta", "0.5", "--m", "1", "--nx", "3", "--ny", "3"]) == 0
         _, values = read_grid_csv(capsys.readouterr().out)
         assert np.all(np.isfinite(values))
-        state, origin = nbs(NBSParams(0.5, 1)), PhaseSpacePoint(0.0, 0.0)
-        s = {"wigner": 0.0, "sdist": -0.5}.get(argv[0])
-        want = q_function(state, origin) if s is None else s_distribution(state, origin, s)
-        assert abs(values[1, 1] - want) < 1e-9
+        c = nbs(NBSParams(0.5, 1)).amplitudes.real
+        s = {"wigner": 0.0, "sdist": -0.5, "qfunc": -1.0}[argv[0]]
+        assert abs(values[1, 1] - reference.distribution(c, 0.0, 0.0, s)) < 1e-9
 
     @pytest.mark.parametrize(
         "text,needle",
@@ -386,3 +388,89 @@ class TestSubprocessEntry:
         )
         assert proc.returncode == 1
         assert "eta" in proc.stderr
+
+
+def _value(valid, *edges):
+    """A value from ``valid`` nine times in ten, else one of ``edges``."""
+    return st.integers(0, 9).flatmap(lambda k: valid if k < 9 else st.sampled_from(edges))
+
+
+_NONFINITE = (math.nan, math.inf, -math.inf)
+# typed values for every option, inside and outside each domain; the
+# valid eta steps stop at 1e-3, since a step of 1e-6 scans ~1e6 values
+_VALUES = {
+    "eta": _value(st.floats(0.05, 1.0), 0.0, -0.5, 1.5, 1e-6, 1e-170, *_NONFINITE),
+    "m": _value(st.integers(0, 40), -1, -2),
+    "s": _value(st.floats(-1.0, 0.0), -1.5, 0.5, -1e-9, *_NONFINITE),
+    "x_min": _value(st.floats(-8.0, 8.0), -1e6, 1e300, -1e308, *_NONFINITE),
+    "x_max": _value(st.floats(-8.0, 8.0), 1e6, 1e308, *_NONFINITE),
+    "y_min": _value(st.floats(-8.0, 8.0), -1e6, *_NONFINITE),
+    "y_max": _value(st.floats(-8.0, 8.0), 1e300, *_NONFINITE),
+    "nx": _value(st.integers(2, 6), 0, 1),
+    "ny": _value(st.integers(2, 6), 0, 1),
+    "range": _value(st.floats(0.0, 10.0), -1.0, 1e6, 1e300, *_NONFINITE),
+    "eta_step": _value(st.floats(1e-3, 0.1), 0.0, -1e-3, 0.2, 9.9e-7, 1e-9, 1e-170,
+                       *_NONFINITE),
+    "tail_eps": _value(st.floats(1e-14, 1e-6), 0.0, 0.1, 1e-300, *_NONFINITE),
+    "format": st.sampled_from(["csv", "json"]),
+    "chi_t": _value(st.floats(0.0, 3.0), -1.0, 50.0, 1000.0, *_NONFINITE),
+    "scheme": st.sampled_from(["intensity", "parametric"]),
+    "steps": _value(st.integers(2, 5), 0, 1),
+}
+_GRID_OPTIONS = ("eta", "m", "x_min", "x_max", "y_min", "y_max", "nx", "ny", "range",
+                 "tail_eps", "format")
+_COMMAND_OPTIONS = {
+    "stats": ("eta", "m", "tail_eps", "format"),
+    "squeeze-scan": ("m", "eta_step", "tail_eps", "format"),
+    "qfunc": _GRID_OPTIONS,
+    "wigner": _GRID_OPTIONS,
+    "sdist": _GRID_OPTIONS + ("s",),
+    "evolve": ("chi_t", "scheme", "m", "steps", "tail_eps", "format"),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_OPTIONS)))
+    argv = [command]
+    for key in _COMMAND_OPTIONS[command]:
+        if draw(st.integers(0, 7)):  # each option present seven times in eight
+            # --flag=value, so that argparse reads "-1e308" as a value
+            argv.append(f"--{key.replace('_', '-')}={draw(_VALUES[key])!r}".replace("'", ""))
+    return argv
+
+
+def _finite_numbers(item):
+    if isinstance(item, dict):
+        return all(_finite_numbers(v) for v in item.values())
+    if isinstance(item, list):
+        return all(_finite_numbers(v) for v in item)
+    return not isinstance(item, float) or math.isfinite(item)
+
+
+class TestArgvProperty:
+    @settings(max_examples=80)
+    @given(argv=_argv())
+    def test_every_run_ends_in_output_or_one_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert err == "" and out
+            if "--format=json" in argv or (argv[0] == "stats" and "--format=csv" not in argv):
+                assert _finite_numbers(json.loads(out))
+            else:
+                rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
+                assert all(math.isfinite(float(v)) for ln in rows for v in ln.split(","))
+        else:
+            assert code in (1, 2)
+            assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("step", ["1e-170", "1e-9", "9.9e-7"])
+    def test_tiny_eta_step_is_an_argument_error(self, step, capsys):
+        # 1e-170 ended in a numpy ValueError, 1e-9 asked for a 7.37 GiB grid
+        assert main(["squeeze-scan", "--m", "1", "--eta-step", step]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: eta-step must lie in [1e-6, 0.1], got {float(step)}\n"

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import warnings
 
@@ -25,6 +26,7 @@ from nbstates.phasespace import (
 P = PhaseSpacePoint
 
 
+@functools.lru_cache(maxsize=64)
 def dense_displacement(beta, size):
     a = np.diag(np.sqrt(np.arange(1.0, size + 1)), k=1)
     return expm(beta * a.conj().T - np.conj(beta) * a)
@@ -80,6 +82,35 @@ class TestMatrixElement:
             for n in range(n_top + 1)
         )
         assert abs(total - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("beta,top", [(0.2 + 0.1j, 10), (1.0, 10), (1.001j, 10),
+                                          (-2.5, 10), (1e-3 - 2e-3j, 45)])
+    def test_both_directions_against_dense_oracle(self, beta, top):
+        # the sum runs up from j = 0, or down from j = min(n, k) where that
+        # last term passes e^345, as it does at beta = 1e-3 - 2e-3j from n = k = 24
+        d = dense_displacement(beta, 80)
+        for n in range(top):
+            for k in range(top):
+                assert abs(displacement_matrix_element(n, k, beta) - d[n, k]) < 1e-10
+
+    @pytest.mark.parametrize("beta", [1e-170, 1e-170j, 3e-200 - 4e-200j])
+    def test_tiny_beta_is_the_first_order_term(self, beta):
+        # |beta|^2 underflows to 0 here, and the ascending terms divided by it
+        beta = complex(beta)
+        for n in (0, 1, 7):
+            assert displacement_matrix_element(n, n, beta) == pytest.approx(1.0, abs=1e-15)
+            # D(beta) = 1 + beta a† - beta* a + O(|beta|^2)
+            assert displacement_matrix_element(n + 1, n, beta) == pytest.approx(
+                beta * math.sqrt(n + 1), rel=1e-12)
+            assert displacement_matrix_element(n, n + 1, beta) == pytest.approx(
+                -beta.conjugate() * math.sqrt(n + 1), rel=1e-12)
+        assert abs(displacement_matrix_element(3, 1, beta)) < 1e-300
+
+    @pytest.mark.parametrize("beta", [1e100, 1e160, -1e160j, 1e300 + 1e300j])
+    def test_huge_beta_is_zero(self, beta):
+        # |beta|^2 overflows from |beta| ~ 1.34e154, where abs(beta) ** 2 raised
+        for n, k in ((0, 0), (1, 1), (5, 2), (0, 40)):
+            assert displacement_matrix_element(n, k, beta) == 0.0
 
     def test_rejects_negative_indices(self):
         with pytest.raises(ValueError):
@@ -231,22 +262,27 @@ class TestWigner:
             p = P.from_complex(beta)
             assert abs(wigner(v1, p) - wigner(v2, p)) < 1e-12
 
-    def test_nonconvergence_reported(self):
-        # squared norm 1/4: the tail bound counts the missing 3/4 as lost mass
-        deficient = FockVector.from_amplitudes(np.full(4, 0.25))
-        with pytest.raises(ConvergenceError, match="tail bound"):
-            wigner(deficient, P(2.0, 0.0))
-
-    def test_default_series_runs_over_the_workspace(self):
-        # the displaced state spreads past photon number 512 here
+    def test_far_corner_of_a_large_basis(self, reference):
+        # n_max 592 at -6-6i: the point and the grid corner sit on different lattices
         state = nbs(NBSParams(0.1, 5))
         g = grid_evaluate(state, GridSpec.square(6.0, 3, 3), "W")
-        assert abs(wigner(state, P(-6.0, -6.0)) - g.values[0, 0]) < 1e-9
+        want = reference.distribution(state.amplitudes.real, -6.0, -6.0, 0.0)
+        assert abs(wigner(state, P(-6.0, -6.0)) - want) < 1e-9
+        assert abs(g.values[0, 0] - want) < 1e-9
+
+    @pytest.mark.parametrize("r", [1e2, 1e4, 1e6])
+    def test_far_points_are_zero(self, r):
+        # a displaced-state workspace of |beta|^2 rows took 4.7 s at 1e2 and
+        # gave 5.3e-16, and could not be allocated at 1e4 (770 MiB) or 1e6
+        state = nbs(NBSParams(0.5, 1))
+        for p in (P(r, 0.0), P(0.0, -r), P(-0.6 * r, 0.8 * r)):
+            assert abs(wigner(state, p)) <= 1e-16
+            assert abs(s_distribution(state, p, -0.5)) <= 1e-16
 
     def test_workspace_reaches_a_light_high_component(self):
-        # 1e-7 of the mass on |100>: D(beta) still spreads that component by
-        # sqrt(201)|beta| ~ 142, so the workspace is sized from the top index
-        # 100, not from <N> = 1e-5; the cross term with |0> is below 1e-35
+        # 1e-7 of the mass on |100>: the wave function reaches as far as the
+        # top index 100 does, not as far as <N> = 1e-5 suggests; the cross
+        # term with |0> is below 1e-35
         mpmath = pytest.importorskip("mpmath")
         amps = np.zeros(101)
         amps[0], amps[100] = math.sqrt(1.0 - 1e-7), math.sqrt(1e-7)
@@ -269,7 +305,7 @@ class TestWigner:
     @pytest.mark.parametrize("n,beta", [(100, 10.0), (300, 6.0)])
     def test_workspace_covers_the_photon_number_spread(self, n, beta):
         # D(beta)|n> spreads by sqrt(2n+1)|beta| in photon number: ~142 and
-        # ~147 here, past a margin sized from sqrt(|beta|^2 + n + 1)
+        # ~147 here; the quadrature needs no displaced workspace at all
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
             x = mpmath.mpf(beta) ** 2
@@ -336,14 +372,13 @@ class TestGrids:
         assert np.max(np.abs(g.values - expect)) < 1e-12
         assert abs(g.riemann_sum - 1.0) < 1e-6
 
-    def test_walk_matches_pointwise_engine(self):
+    def test_walk_matches_pointwise_engine(self, reference):
         state = nbs(NBSParams(0.4, 2))
         spec = GridSpec(-2.0, 2.0, -1.5, 1.5, 21, 15)
         g = grid_evaluate(state, spec, "W")
-        xs, ys = g.xs(), g.ys()
-        for i, j in [(0, 0), (10, 7), (20, 14), (5, 3), (17, 11)]:
-            direct = wigner(state, P(xs[i], ys[j]))
-            assert abs(g.values[j, i] - direct) < 1e-9
+        nodes = [(0, 0), (10, 7), (20, 14), (5, 3), (17, 11)]
+        for got, want in _pointwise(reference, state, g, 0.0, nodes):
+            assert abs(got - want) < 1e-9
 
     def test_wigner_bounded(self):
         g = grid_evaluate(nbs(NBSParams(0.3, 1)), GridSpec.square(4.0, 61, 61), "W")
@@ -403,14 +438,30 @@ def _closed_s(k, xs, ys, s):
     return gauss if k == 0 else gauss * (4.0 * r2 / a**2 - (1.0 + s) / a)
 
 
-def _pointwise(state, grid, s, nodes):
+def _dense_value(c, beta, s):
+    """(2/pi) sum_k (-u)^k / (1-s) |<k|D(-beta) psi>|^2, u = (1+s)/(1-s),
+
+    with D(-beta) the dense scipy exponential on a basis 60 past psi's.
+    """
+    size = len(c) + 60
+    q = np.abs(dense_displacement(-beta, size)[:, :len(c)] @ c) ** 2
+    u = (1.0 + s) / (1.0 - s)
+    return 2.0 / math.pi * float(q @ (-u) ** np.arange(size + 1)) / (1.0 - s)
+
+
+def _pointwise(reference, state, grid, s, nodes):
+    """(grid value, independent value) at each (i, j) of nodes.
+
+    Real amplitudes take perfbench/reference.py, complex ones the dense
+    displaced-overlap sum; neither shares code with the grid engine.
+    """
     xs, ys = grid.xs(), grid.ys()
+    c = state.amplitudes
     for i, j in nodes:
-        p = P(xs[i], ys[j])
-        if s == 0.0:
-            want = wigner(state, p)
+        if np.any(c.imag):
+            want = _dense_value(c, complex(xs[i], ys[j]), s)
         else:
-            want = s_distribution(state, p, s)
+            want = reference.distribution(c.real, xs[i], ys[j], s)
         yield grid.values[j, i], want
 
 
@@ -436,23 +487,23 @@ class TestFourierGridEngine:
         s = grid_evaluate(state, spec, "S", s=-1.0).values
         assert np.max(np.abs(q - s)) < 1e-13
 
-    def test_large_basis_against_pointwise(self):
+    def test_large_basis_against_pointwise(self, reference):
         state = nbs(NBSParams(0.1, 5))
         assert state.n_max == 592
         spec = GridSpec.square(6.0, 11, 11)
         for kind, s in (("W", 0.0), ("S", -0.4)):
             g = grid_evaluate(state, spec, kind, s)
             nodes = [(0, 0), (5, 5), (3, 8), (10, 2)]
-            for got, want in _pointwise(state, g, s, nodes):
+            for got, want in _pointwise(reference, state, g, s, nodes):
                 assert abs(got - want) < 1e-9
 
     @pytest.mark.parametrize("s", [0.0, -1e-9, -0.3, -1.0])
-    def test_complex_amplitudes_against_pointwise(self, s):
+    def test_complex_amplitudes_against_pointwise(self, s, reference):
         state = displaced_number_state(1 + 0.5j, 2, 40)
         spec = GridSpec(-2.5, 3.0, -1.0, 2.2, 9, 6)
         g = grid_evaluate(state, spec, "W" if s == 0.0 else "S", s)
         nodes = [(i, j) for i in range(9) for j in range(6)]
-        for got, want in _pointwise(state, g, s, nodes):
+        for got, want in _pointwise(reference, state, g, s, nodes):
             assert abs(got - want) < 1e-9
 
     @pytest.mark.parametrize(
@@ -464,12 +515,12 @@ class TestFourierGridEngine:
         ],
     )
     @pytest.mark.parametrize("s", [0.0, -0.5])
-    def test_uneven_windows_against_pointwise(self, spec, s):
+    def test_uneven_windows_against_pointwise(self, spec, s, reference):
         state = nbs(NBSParams(0.3, 2))
         g = grid_evaluate(state, spec, "W" if s == 0.0 else "S", s)
         assert g.values.shape == (spec.ny, spec.nx)
         nodes = [(i, j) for i in range(spec.nx) for j in range(spec.ny)]
-        for got, want in _pointwise(state, g, s, nodes):
+        for got, want in _pointwise(reference, state, g, s, nodes):
             assert abs(got - want) < 1e-9
 
     @pytest.mark.parametrize(
@@ -480,28 +531,28 @@ class TestFourierGridEngine:
         ],
     )
     @pytest.mark.parametrize("s", [0.0, -0.5])
-    def test_narrow_windows_against_pointwise(self, spec, s):
+    def test_narrow_windows_against_pointwise(self, spec, s, reference):
         state = nbs(NBSParams(0.3, 2))
         g = grid_evaluate(state, spec, "W" if s == 0.0 else "S", s)
         nodes = [(0, 0), (spec.nx // 2, 1), (spec.nx - 1, spec.ny - 1), (3, 2)]
-        for got, want in _pointwise(state, g, s, nodes):
+        for got, want in _pointwise(reference, state, g, s, nodes):
             assert abs(got - want) < 1e-9
 
     @pytest.mark.parametrize("s", [-0.02, -0.1])
-    def test_x_smoothing_on_a_single_row(self, s):
+    def test_x_smoothing_on_a_single_row(self, s, reference):
         # one row at y = 0 leaves the lattice step to the x-smoothing band
         state = number_state(60, 60)
         g = grid_evaluate(state, GridSpec(-3.0, 2.0, 0.0, 0.0, 6, 2), "S", s)
-        for got, want in _pointwise(state, g, s, [(i, 0) for i in range(6)]):
+        for got, want in _pointwise(reference, state, g, s, [(i, 0) for i in range(6)]):
             assert abs(got - want) < 1e-9
 
     @pytest.mark.parametrize("s", [0.0, -0.5])
-    def test_wide_window_is_clipped_to_the_support(self, s):
+    def test_wide_window_is_clipped_to_the_support(self, s, reference):
         state = nbs(NBSParams(0.5, 1))
         g = grid_evaluate(state, GridSpec.square(1e6, 3, 3), "W" if s == 0.0 else "S", s)
         assert np.all(np.isfinite(g.values))
         assert np.count_nonzero(g.values) == 1
-        (got, want), = _pointwise(state, g, s, [(1, 1)])
+        (got, want), = _pointwise(reference, state, g, s, [(1, 1)])
         assert abs(got - want) < 1e-9
 
 
