@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -30,6 +31,7 @@ from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
+from ._csv import csv_text
 from .dynamics import EvolutionSpec, evolve_intensity_dependent, evolve_parametric, fidelity
 from .fock import DOMAINS, ConvergenceError, TruncationError, TruncationPolicy
 from .phasespace import GridSpec, grid_evaluate
@@ -154,14 +156,20 @@ _COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     # exit code 2 is reserved for numerical failure; bad arguments are 1,
-    # not argparse's default 2
+    # not argparse's default 2, and, like every refusal, one stderr line
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree of every subcommand, built once per process.
+
+    It is a constant of the module and ``parse_args`` leaves it unchanged,
+    so repeated in-process calls of ``main`` share it; a one-shot ``nbs``
+    process still builds it once.
+    """
     parser = _Parser(
         prog="nbs",
         description="Negative binomial states: statistics, squeezing, "
@@ -252,13 +260,6 @@ def parse_config(argv) -> RunConfig:
     )
 
 
-def _csv_rows(table: np.ndarray) -> list[str]:
-    """One line of %.17g fields per row of a 2-D float array."""
-    line = ",".join(["%.17g"] * table.shape[1])
-    # + 0.0 folds negative zero into plain zero
-    return [line % tuple(row + 0.0) for row in table]
-
-
 def _json_array(values: np.ndarray, depth: int) -> str:
     """indent=2 JSON of a float array whose opening bracket sits at ``depth``.
 
@@ -295,8 +296,8 @@ def _table_text(payload: dict, columns: dict, fmt: str) -> str:
     if fmt == "json":
         return _json_text(payload, columns)
     lines = ["# " + " ".join(f"{k}={v}" for k, v in payload.items())] if payload else []
-    lines += ["# " + ",".join(columns)] + _csv_rows(np.column_stack(list(columns.values())))
-    return "\n".join(lines) + "\n"
+    head = "\n".join(lines + ["# " + ",".join(columns)]) + "\n"
+    return csv_text(np.column_stack(list(columns.values())), head)
 
 
 def _grid_text(grid, fmt: str) -> str:
@@ -304,8 +305,7 @@ def _grid_text(grid, fmt: str) -> str:
         payload = {k: v for k, v in vars(grid).items() if k != "values"}
         return _json_text(payload, {"values": grid.values})
     window = [[grid.x_min, grid.x_max, grid.y_min, grid.y_max, grid.nx, grid.ny]]
-    header = "# " + _csv_rows(np.array(window))[0]
-    return "\n".join([header] + _csv_rows(grid.values)) + "\n"
+    return csv_text(grid.values, "# " + csv_text(window))
 
 
 def read_grid_csv(text: str) -> tuple[GridSpec, np.ndarray]:

@@ -273,12 +273,24 @@ def displaced_number_state(beta: complex, k: int, n_max: int) -> FockVector:
     sqrt(x (2k + 1)) of D(beta)|k>.  Raises TruncationError when its top
     two amplitudes hold more than ``boundary_mass`` allows at the default
     basis tolerance, or when more than 1e-8 of the norm lies past n_max.
+    That last holds before any workspace is sized when the mean x + k
+    passes n_max by a > 0 and Cantelli's bound a^2 / (x (2k + 1) + a^2)
+    on the mass above n_max exceeds 1e-8; it is formed from |beta|, so
+    an |beta|^2 that overflows is refused too.
     """
     check_domain(k=k, beta=beta)
     if k > n_max:
         raise ValueError(f"need k <= n_max, got k={k}, n_max={n_max}")
     beta = complex(beta)
-    x = abs(beta) ** 2
+    r = abs(beta)
+    a = r * r + k - n_max
+    if a > 0.0:
+        q = r / a
+        lost = 1.0 / (1.0 + (2.0 * k + 1.0) * q * q)
+        if lost > 1e-8:
+            raise TruncationError(f"displaced number state loses norm at least "
+                                  f"{lost:.3e} past n_max={n_max} at |beta| = {r:.6g}")
+    x = r ** 2
     spread = max(math.sqrt(x + k + 1.0), math.sqrt(x * (2.0 * k + 1.0)))
     w = max(n_max, math.ceil(k + x + 8.0 * spread + 40.0))
     v = np.zeros(w + 1, dtype=complex)

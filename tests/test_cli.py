@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nbstates import cli
+from nbstates._csv import csv_text
 from nbstates.cli import CliError, main, parse_config, read_grid_csv, run
 from nbstates.squeeze import default_eta_grid, squeezing_scan
 from nbstates.stats import stats_report
@@ -81,6 +83,26 @@ class TestParsing:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "verify" in capsys.readouterr().out
+
+    def test_argparse_refusal_is_one_line(self, capsys):
+        assert main(["stats", "--eta", "0.5", "--m", "2.5"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "nbs stats: error: argument --m: invalid int value: '2.5'\n"
+
+    def test_reused_parser_matches_a_fresh_one(self, capsys):
+        calls = [
+            ["wigner", "--eta", "0.5", "--m", "1", "--nx", "5", "--ny", "3"],
+            ["sdist", "--eta", "0.3", "--m", "2", "--s", "-0.5", "--range", "2",
+             "--ny", "4", "--format", "json"],
+            ["wigner", "--eta", "0.5", "--m", "1", "--ny", "3"],
+        ]
+        reused = [(parse(*argv), main(argv), capsys.readouterr()) for argv in calls]
+        for argv, got in zip(calls, reused):
+            cli._build_parser.cache_clear()
+            assert (parse(*argv), main(argv), capsys.readouterr()) == got
+        # no default leaks from one call into the next
+        assert [cfg.nx for cfg, _, _ in reused] == [5, 201, 201]
 
 
 class TestConfigSources:
@@ -224,8 +246,12 @@ class TestGridCommands:
             read_grid_csv(text)
 
 
+def _percent_17g(table):
+    return "\n".join(",".join("%.17g" % (float(v) + 0.0) for v in row) for row in table) + "\n"
+
+
 class TestBulkWriters:
-    """The row-at-a-time writers give the bytes of the plain per-value ones."""
+    """The bulk writers give the bytes of the plain per-value ones."""
 
     def test_grid_text_matches_the_per_value_writers(self):
         from nbstates.cli import _grid_text
@@ -240,8 +266,37 @@ class TestBulkWriters:
         # JSON keeps negative zero; CSV folds it into plain zero
         want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert _grid_text(grid, "json") == want
-        rows = [",".join("%.17g" % (float(v) + 0.0) for v in row) for row in vals]
-        assert _grid_text(grid, "csv") == "\n".join(["# 0,1,0,2,4,3"] + rows) + "\n"
+        assert _grid_text(grid, "csv") == "# 0,1,0,2,4,3\n" + _percent_17g(vals)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 400),
+           cols=st.integers(1, 9), wide=st.booleans())
+    def test_csv_text_is_percent_17g(self, seed, rows, cols, wide):
+        # up to 3,600 values, so slab boundaries fall inside rows
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2**64, rows * cols, dtype=np.uint64, endpoint=False)
+        if not wide:  # binary exponents of 1e-270 .. 1e17, the vectorised range
+            exponent = rng.integers(126, 1080, bits.size).astype(np.uint64)
+            bits = bits & ~np.uint64(0x7FF << 52) | exponent << np.uint64(52)
+        table = bits.view(np.float64).reshape(rows, cols)
+        assert csv_text(table) == _percent_17g(table)
+
+    def test_csv_text_edges(self):
+        up = lambda v: np.nextafter(v, math.inf)  # noqa: E731
+        down = lambda v: np.nextafter(v, -math.inf)  # noqa: E731
+        table = np.array([
+            [0.0, -0.0, math.nan, math.inf, -math.inf],
+            [5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-300],
+            [2.0**-25, -3 * 2.0**-25, 0.5, 1.0, 2.0**53 + 2],
+            # the doubles nearest 1e-14, 1e-79 and 1e-243 lie below them, and their
+            # 17-digit significands round up to 10^17
+            [1e-14, 1e-79, 1e-243, up(1e-14), down(1e-14)],
+            [down(1e-5), 1e-5, up(1e-5), down(1e-4), 1e-4],
+            [up(1e-4), down(1e16), 1e16, up(1e16), down(1e17)],
+            [1e17, up(1e17), down(1e23), 1e23, -down(1e23)],
+            [down(1e-270), 1e-270, up(1e-270), -1e-270, 1e-200],
+        ])
+        assert csv_text(table, "# head\n") == "# head\n" + _percent_17g(table)
 
     @pytest.mark.parametrize(
         "argv",
@@ -396,17 +451,18 @@ def _value(valid, *edges):
 
 
 _NONFINITE = (math.nan, math.inf, -math.inf)
-# typed values for every option, inside and outside each domain; the
-# valid eta steps stop at 1e-3, since a step of 1e-6 scans ~1e6 values
+# typed values for every option, inside and outside each domain, and a few
+# that argparse cannot convert; the valid eta steps stop at 1e-3, since a
+# step of 1e-6 scans ~1e6 values
 _VALUES = {
-    "eta": _value(st.floats(0.05, 1.0), 0.0, -0.5, 1.5, 1e-6, 1e-170, *_NONFINITE),
-    "m": _value(st.integers(0, 40), -1, -2),
+    "eta": _value(st.floats(0.05, 1.0), 0.0, -0.5, 1.5, 1e-6, 1e-170, "x", *_NONFINITE),
+    "m": _value(st.integers(0, 40), -1, -2, "2.5"),
     "s": _value(st.floats(-1.0, 0.0), -1.5, 0.5, -1e-9, *_NONFINITE),
     "x_min": _value(st.floats(-8.0, 8.0), -1e6, 1e300, -1e308, *_NONFINITE),
     "x_max": _value(st.floats(-8.0, 8.0), 1e6, 1e308, *_NONFINITE),
     "y_min": _value(st.floats(-8.0, 8.0), -1e6, *_NONFINITE),
     "y_max": _value(st.floats(-8.0, 8.0), 1e300, *_NONFINITE),
-    "nx": _value(st.integers(2, 6), 0, 1),
+    "nx": _value(st.integers(2, 6), 0, 1, "abc"),
     "ny": _value(st.integers(2, 6), 0, 1),
     "range": _value(st.floats(0.0, 10.0), -1.0, 1e6, 1e300, *_NONFINITE),
     "eta_step": _value(st.floats(1e-3, 0.1), 0.0, -1e-3, 0.2, 9.9e-7, 1e-9, 1e-170,

@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import time
 import warnings
 
 import numpy as np
@@ -161,6 +162,14 @@ class TestDisplacedNumberState:
     def test_leak_detected(self):
         with pytest.raises(TruncationError, match="norm"):
             displaced_number_state(6.0, 0, 20)
+
+    @pytest.mark.parametrize("beta", [1e160, 1e3])
+    def test_hopeless_beta_is_refused_before_the_workspace(self, beta):
+        # 1e160 overflowed |beta|^2; 1e3 ran for minutes on a 1e6-row workspace
+        start = time.perf_counter()
+        with pytest.raises(TruncationError, match="norm at least"):
+            displaced_number_state(beta, 0, 5)
+        assert time.perf_counter() - start < 1.0
 
     def test_index_validation(self):
         with pytest.raises(ValueError):

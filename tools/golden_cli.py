@@ -35,6 +35,10 @@ GOLDEN = (
     "stats --eta 0.5 --m 3000",
     "stats --eta 0.5 --m 1500 --tail-eps 1e-9",
     "qfunc --eta 0.5 --m 1 --range 1e6 --nx 3 --ny 3",
+    # the CSV writer's rarer layouts: a 3-digit exponent, |x| below 1e-270, |x| >= 1e17
+    "wigner --eta 0.5 --m 1 --x-min=-1e-300 --x-max=1e-300 --y-min=-1e-200 --y-max=1e-200"
+    " --nx 3 --ny 3",
+    "wigner --eta 0.5 --m 1 --x-min=-1e17 --x-max=1e17 --nx 3 --ny 3",
     "verify",
 )
 
