@@ -10,19 +10,21 @@ variances reduce to
 
 One kernel, ``_moments``, sums the moments and variances over the last
 axis of an amplitude array: one state's amplitudes, or a block of rows.
-The scan sweeps eta for each m with one shared basis per eta block, its
-rows built by ``states.nbs_amplitudes`` from the whole block of eta
-values at once, so a thousand-point grid per m costs milliseconds.
+The scan gives every (eta, m) row the basis ``choose_n_max`` picks for
+that eta alone, and builds the rows that share a basis together through
+``states.nbs_amplitudes``, so a thousand-point grid per m costs
+milliseconds.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, TruncationPolicy, check_domain
+from .fock import FockVector, TruncationPolicy, check_domain, tail_mass_nbs
 from .states import choose_n_max, nbs_amplitudes
 from .stats import find_sign_change
 
@@ -45,6 +47,9 @@ __all__ = [
 SCAN_POLICY = TruncationPolicy(tail_eps=1e-12, n_hard_cap=16384)
 
 _HEISENBERG_SLACK = 1e-12
+
+# the scan builds at most this many amplitude cells (2 MiB) at a time
+_CHUNK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -77,17 +82,20 @@ def _moments(c: np.ndarray):
     variances use their real parts.
     """
     n = np.arange(c.shape[-1], dtype=float)
-    if np.iscomplexobj(c):
-        cc, p = np.conj(c), np.abs(c) ** 2
-    else:
-        cc, p = c, c * c
-    nrm2 = p.sum(axis=-1)
+    cc = np.conj(c) if np.iscomplexobj(c) else c
+
+    def weighted(k, w):
+        # sum_n w_n c_n* c_{n+k}, a row in one pass with no temporaries;
+        # einsum's three-operand loop sums a row in the same order whatever
+        # rows surround it (its two-operand loop does not, past 8192 terms)
+        return np.einsum("...j,...j,j->...", cc[..., : len(w)], c[..., k:], w)
+
+    nrm2 = weighted(0, np.ones_like(n)).real
     if np.any(nrm2 == 0.0):
         raise ValueError("field moments need a nonzero state, got squared norm 0")
-    mean_n = (n * p).sum(axis=-1) / nrm2
-    mean_a = (np.sqrt(n[1:]) * cc[..., :-1] * c[..., 1:]).sum(axis=-1) / nrm2
-    w2 = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
-    mean_a2 = (w2 * cc[..., :-2] * c[..., 2:]).sum(axis=-1) / nrm2
+    mean_n = weighted(0, n).real / nrm2
+    mean_a = weighted(1, np.sqrt(n[1:])) / nrm2
+    mean_a2 = weighted(2, np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))) / nrm2
     var_x = 0.25 + (mean_n + mean_a2.real - 2.0 * mean_a.real**2) / 2.0
     var_y = 0.25 + (mean_n - mean_a2.real) / 2.0
     return mean_a, mean_a2, var_x, var_y
@@ -153,12 +161,6 @@ def nbs_field_moments_series(eta: float, m: int) -> tuple[float, float]:
     return pref * math.sqrt(q) * summed(term_a), pref * q * summed(term_a2)
 
 
-def _variance_block(m: int, etas: np.ndarray, policy: TruncationPolicy):
-    """Vectorized variances for one m over a block of eta values."""
-    n_max, _ = choose_n_max(float(etas.min()), m, policy)
-    return _moments(nbs_amplitudes(etas, m, n_max))
-
-
 @dataclass(frozen=True, eq=False)
 class SqueezeScan:
     """Variance tables over (m, eta); rows follow m_values, columns eta."""
@@ -192,11 +194,15 @@ class SqueezeScan:
 def squeezing_scan(
     m_values, eta_values, policy: TruncationPolicy | None = None
 ) -> SqueezeScan:
-    """Variance scan over every (m, eta) pair.
+    """Variance scan over every (m, eta) pair, eta_values in any order.
 
-    eta blocks share one basis sized for the smallest eta in the block,
-    so pass eta_values sorted ascending for best performance (any order
-    is accepted).
+    Each row is ``variances_at(eta, m, policy)`` bit for bit: its basis is
+    the one ``choose_n_max`` picks for its own eta, so no row depends on
+    its neighbours.  The price is accuracy: a row keeps a tail just below
+    policy.tail_eps, where a basis shared with smaller etas would leave a
+    far smaller one.  At the default 1e-12, <a> and <a^2> stay within
+    1e-10 relative of the untruncated family, and the variances within
+    1e-10 max(1, <N>).
     """
     policy = policy or SCAN_POLICY
     etas = np.asarray(eta_values, dtype=float)
@@ -212,12 +218,26 @@ def squeezing_scan(
     order = np.argsort(etas, kind="stable")
     shape = (len(m_values), len(etas))
     out = {k: np.empty(shape) for k in ("mean_a", "mean_a2", "var_x", "var_y")}
-    block = 64
+    ascending = etas[order]
     for i, m in enumerate(m_values):
-        for lo in range(0, len(etas), block):
-            idx = order[lo : lo + block]
-            for table, values in zip(out.values(), _variance_block(m, etas[idx], policy)):
-                table[i, idx] = values
+        # the smallest eta needs the largest basis (or meets the cap first)
+        top, _ = choose_n_max(float(ascending[0]), m, policy)
+        hi, n = len(etas), m + 32
+        while hi:
+            # choose_n_max's schedule: m + 32, doubled up to top.  The tail
+            # falls as eta grows, so the rows that basis n serves first are
+            # those from the first eta where its tail meets policy.tail_eps
+            n_max = min(n, top)
+            lo = 0 if n_max == top else bisect_left(
+                range(hi), True, 1,
+                key=lambda j: tail_mass_nbs(float(ascending[j]), m, n_max) < policy.tail_eps)
+            rows = max(1, _CHUNK_CELLS // (n_max + 1))
+            for start in range(lo, hi, rows):
+                idx = order[start : min(start + rows, hi)]
+                values = _moments(nbs_amplitudes(etas[idx], m, n_max))
+                for table, column in zip(out.values(), values):
+                    table[i, idx] = column
+            hi, n = lo, 2 * n
     return SqueezeScan(m_values, etas, **out)
 
 
@@ -226,7 +246,7 @@ def variances_at(
 ) -> VarianceSample:
     """Single-point sample through the same path as the scan."""
     policy = policy or SCAN_POLICY
-    values = _variance_block(m, np.array([eta]), policy)
+    values = _moments(nbs_amplitudes(np.array([eta]), m, choose_n_max(eta, m, policy)[0]))
     return VarianceSample(eta, m, *(float(v[0]) for v in values))
 
 

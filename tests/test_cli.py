@@ -399,6 +399,14 @@ class TestExitCodes:
         assert out.err.startswith("error: grid spans and cell area must be finite")
         assert out.err.count("\n") == 1
 
+    def test_scan_past_the_basis_cap_names_it(self, capsys):
+        # m = 160 at eta = 0.01 needs more than the scan's 16384 cap; the
+        # limit is reported, not raised
+        assert main(["squeeze-scan", "--m", "160"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("\n") == 1 and "n_hard_cap=16384" in out.err
+
     def test_run_reports_argument_errors_as_1(self, capsys):
         assert main(["stats", "--eta", "nope", "--m", "1"]) == 1
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,17 @@ class TestMoments:
         assert abs(a1.real - b1) < 1e-8
         assert abs(a2.real - b2) < 1e-8
 
+    @pytest.mark.parametrize("eta,m", [(0.01, 40), (0.3, 1), (0.9, 7)])
+    def test_scan_sums_match_plain_sums(self, eta, m, reference):
+        # the scan's one-pass contractions against numpy's plain sums on the
+        # same amplitudes: L terms of one sign round apart by under L ulps
+        n_max, _ = choose_n_max(eta, m, SCAN_POLICY)
+        c = nbs_amplitudes(np.array([eta]), m, n_max)[0]
+        want = reference.field_moments(c / np.sqrt(np.sum(c * c)))
+        s = variances_at(eta, m)
+        tol = 4 * (n_max + 1) * np.finfo(float).eps
+        assert (s.mean_a, s.mean_a2) == pytest.approx(want, rel=tol, abs=0)
+
     def test_series_at_eta_one(self):
         assert nbs_field_moments_series(1.0, 3) == (0.0, 0.0)
 
@@ -174,6 +186,59 @@ class TestScan:
         scan = squeezing_scan([2], [0.9, 0.2, 0.5])
         direct = [variances_at(e, 2).var_x for e in [0.9, 0.2, 0.5]]
         np.testing.assert_allclose(scan.var_x[0], direct, atol=1e-13)
+
+    @pytest.mark.parametrize("m", [1, 10, 40])
+    def test_rows_are_single_points_in_any_order(self, m):
+        # each row sits on its own eta's basis, so it equals the single-point
+        # route bit for bit, and no neighbour can move it
+        grid = default_eta_grid()
+        scan = squeezing_scan([m], grid)
+        for j in range(0, len(grid), 7):
+            s = variances_at(float(grid[j]), m)
+            got = (scan.mean_a[0, j], scan.mean_a2[0, j], scan.var_x[0, j], scan.var_y[0, j])
+            assert got == (s.mean_a, s.mean_a2, s.var_x, s.var_y), grid[j]
+        perm = np.random.default_rng(m).permutation(len(grid))
+        shuffled = squeezing_scan([m], grid[perm])
+        for name in ("mean_a", "mean_a2", "var_x", "var_y"):
+            assert np.array_equal(getattr(shuffled, name), getattr(scan, name)[:, perm]), name
+
+    @pytest.mark.parametrize("m", [0, 1, 5, 10, 40])
+    def test_rows_cut_at_their_own_tail_match_the_untruncated_family(self, m, reference):
+        # a row's basis leaves a tail just under SCAN_POLICY.tail_eps; the
+        # smallest etas, the mid-range rows where a small basis barely meets
+        # it (the worst, 7.5e-11 for <a^2> at m = 0), and a few large etas
+        grid = default_eta_grid()
+        etas = np.concatenate((grid[grid <= 0.08 + 1e-12], np.arange(0.5, 0.755, 0.01),
+                               [0.9, 0.999]))
+        scan = squeezing_scan([m], etas)
+        for j, eta in enumerate(etas):
+            eta = float(eta)
+            c = reference.nbs_amplitudes(eta, m, reference.basis_for(eta, m))
+            r1, r2 = reference.field_moments(c)
+            scale = 1e-10 * max(1.0, reference.nbs_mean(eta, m))
+            assert scan.mean_a[0, j] == pytest.approx(r1, rel=1e-10, abs=0), eta
+            assert scan.mean_a2[0, j] == pytest.approx(r2, rel=1e-10, abs=0), eta
+            # var_y is <N> - <a^2> and far smaller than either at small eta,
+            # so the variances are held to the scale of <N>
+            vx = 0.25 + (reference.nbs_mean(eta, m) + r2 - 2.0 * r1 * r1) / 2.0
+            vy = 0.25 + (reference.nbs_mean(eta, m) - r2) / 2.0
+            assert scan.var_x[0, j] == pytest.approx(vx, rel=0, abs=scale), eta
+            assert scan.var_y[0, j] == pytest.approx(vy, rel=0, abs=scale), eta
+
+    @pytest.mark.parametrize("fine,mib", [(False, 4), (True, 10)])
+    def test_memory_stays_in_chunks(self, fine, mib):
+        # the default grid's runs are short; 400 etas in [0.01, 0.02] share
+        # bases of 2,688 and 5,376, 61 MiB in one piece, so only chunks of
+        # 2 MiB (a few arrays of that size alive at once) keep them small
+        grid = np.linspace(0.01, 0.02, 400) if fine else default_eta_grid()
+        squeezing_scan([10], grid[:3])  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            squeezing_scan([10], grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2**20
 
 
 class TestCriticalValues:

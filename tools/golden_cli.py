@@ -23,6 +23,8 @@ GOLDEN = (
     "squeeze-scan --m 7 --format json",
     "squeeze-scan --m 31",
     "squeeze-scan --m 0 --eta-step 0.01",
+    # verify's m range: rows on every basis from m + 32 up to the 16384 cap
+    "squeeze-scan --m 40 --format json",
     "qfunc --eta 0.5 --m 2",
     "qfunc --eta 0.5 --m 2 --format json",
     "wigner --eta 0.3 --m 1",
