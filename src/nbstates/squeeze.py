@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockVector, TruncationPolicy, check_domain, tail_mass_nbs
-from .states import choose_n_max, nbs_amplitudes
+from .states import basis_schedule, choose_n_max, nbs_amplitudes
 from .stats import find_sign_change
 
 __all__ = [
@@ -222,12 +222,10 @@ def squeezing_scan(
     for i, m in enumerate(m_values):
         # the smallest eta needs the largest basis (or meets the cap first)
         top, _ = choose_n_max(float(ascending[0]), m, policy)
-        hi, n = len(etas), m + 32
-        while hi:
-            # choose_n_max's schedule: m + 32, doubled up to top.  The tail
-            # falls as eta grows, so the rows that basis n serves first are
-            # those from the first eta where its tail meets policy.tail_eps
-            n_max = min(n, top)
+        hi = len(etas)
+        for n_max in basis_schedule(m, top):
+            # the tail falls as eta grows, so the rows that basis n_max serves
+            # first are those from the first eta where its tail meets tail_eps
             lo = 0 if n_max == top else bisect_left(
                 range(hi), True, 1,
                 key=lambda j: tail_mass_nbs(float(ascending[j]), m, n_max) < policy.tail_eps)
@@ -237,7 +235,7 @@ def squeezing_scan(
                 values = _moments(nbs_amplitudes(etas[idx], m, n_max))
                 for table, column in zip(out.values(), values):
                     table[i, idx] = column
-            hi, n = lo, 2 * n
+            hi = lo
     return SqueezeScan(m_values, etas, **out)
 
 

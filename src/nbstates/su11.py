@@ -93,9 +93,12 @@ def _raising_band(m: int, n_max: int) -> np.ndarray:
 def ladder_residual(
     eta: float, m: int, policy: TruncationPolicy | None = None
 ) -> float:
-    """Norm of (N - sqrt(1-eta) K+ - m) applied to the state nbs(eta, m)."""
-    policy = policy or TruncationPolicy()
-    v = nbs(NBSParams(eta, m), sharpened(policy))
+    """Norm of (N - sqrt(1-eta) K+ - m) applied to the state nbs(eta, m).
+
+    The truncated K+ drops the row past n_max, so every row it keeps holds
+    the identity exactly and the basis of nbs suffices.
+    """
+    v = nbs(NBSParams(eta, m), policy)
     lhs = apply_diag(v, lambda n: n)
     kp = k_plus(v, m)
     r = lhs.amplitudes - math.sqrt(1.0 - eta) * kp.amplitudes - m * v.amplitudes
@@ -179,11 +182,12 @@ def nonlinear_eigen_residual(
 
     The nonlinear lowering operator f(N) a has the negative binomial state
     as an eigenvector with eigenvalue sqrt(1-eta); this returns the
-    numerical residual of that statement.
+    numerical residual of that statement over rows 0..n_max-1, where the
+    truncated f(N) a is exact.  Row n_max would need c_{n_max+1}, which
+    belongs to the state's tail_bound.
     """
-    policy = policy or TruncationPolicy()
-    v = nbs(NBSParams(eta, m), sharpened(policy))
+    v = nbs(NBSParams(eta, m), policy)
     w = apply_annihilation(v)
     w = apply_diag(w, lambda n: np.sqrt(np.maximum(n + 1 - m, 0)) / (n + 1))
     r = w.amplitudes - math.sqrt(1.0 - eta) * v.amplitudes
-    return float(np.linalg.norm(r))
+    return float(np.linalg.norm(r[:-1]))

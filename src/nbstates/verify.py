@@ -24,7 +24,7 @@ from .dynamics import (
     evolve_parametric,
     fidelity,
 )
-from .fock import TruncationPolicy, apply_annihilation, apply_diag, norm
+from .fock import TruncationPolicy, norm
 from .phasespace import (
     GridSpec,
     PhaseSpacePoint,
@@ -196,12 +196,6 @@ def criterion_nonlinear_lowering() -> CheckResult:
     for m in range(7):
         for eta in (0.2, 0.5, 0.8):
             worst = max(worst, nonlinear_eigen_residual(eta, m))
-    # at m = 0 the operator is (N+1)^(-1/2) a acting on the geometric state
-    for eta in (0.2, 0.5, 0.8):
-        v = nbs(NBSParams(eta, 0), sharpened(TruncationPolicy()))
-        w = apply_diag(apply_annihilation(v), lambda n: 1.0 / np.sqrt(n + 1))
-        r = w.amplitudes - math.sqrt(1.0 - eta) * v.amplitudes
-        worst = max(worst, float(np.linalg.norm(r)))
     return CheckResult(
         "nonlinear-lowering",
         worst < 1e-8,

@@ -225,11 +225,11 @@ class TestScan:
             assert scan.var_x[0, j] == pytest.approx(vx, rel=0, abs=scale), eta
             assert scan.var_y[0, j] == pytest.approx(vy, rel=0, abs=scale), eta
 
-    @pytest.mark.parametrize("fine,mib", [(False, 4), (True, 10)])
+    @pytest.mark.parametrize("fine,mib", [(False, 4), (True, 6)])
     def test_memory_stays_in_chunks(self, fine, mib):
         # the default grid's runs are short; 400 etas in [0.01, 0.02] share
         # bases of 2,688 and 5,376, 61 MiB in one piece, so only chunks of
-        # 2 MiB (a few arrays of that size alive at once) keep them small
+        # 2 MiB (two arrays of that size alive at once) keep them small
         grid = np.linspace(0.01, 0.02, 400) if fine else default_eta_grid()
         squeezing_scan([10], grid[:3])  # first-call imports and caches
         tracemalloc.start()

@@ -7,6 +7,7 @@ from nbstates.fock import TruncationError, TruncationPolicy, inner_product, pad_
 from nbstates.states import (
     NBSParams,
     PairBasisVector,
+    basis_schedule,
     choose_n_max,
     excited_geometric,
     geometric_state,
@@ -122,6 +123,13 @@ class TestNBS:
         assert n == 66  # one doubling of the m + 32 start
 
     @pytest.mark.parametrize(
+        "m,top,schedule",
+        [(1, 300, [33, 66, 132, 264, 300]), (1, 264, [33, 66, 132, 264]), (40, 50, [50])],
+    )
+    def test_basis_schedule(self, m, top, schedule):
+        assert list(basis_schedule(m, top)) == schedule
+
+    @pytest.mark.parametrize(
         "eta,m,n_max",
         [(0.9, 1, 33), (0.3, 1, 132), (0.1, 5, 592), (sech_squared(3.0), 0, 4096)],
     )
@@ -227,14 +235,24 @@ class TestExcitedGeometric:
         assert np.isfinite(a.amplitudes).all()
         assert overlap_sq(a, nbs(NBSParams(0.5, m))) >= 1 - 1e-12
 
-    def test_underflowed_geometric_tail_is_cut(self):
-        # the geometric amplitudes underflow past n ~ 2043 at eta = 0.5
+    def test_builds_where_the_geometric_amplitudes_underflow(self):
+        # sqrt(eta) (1-eta)^(n/2) underflows past n ~ 2043 at eta = 0.5, far
+        # inside the support of NB(0.5, 3000); the log-domain build does not
         pol = TruncationPolicy(n_hard_cap=16384)
-        a = excited_geometric(0.5, 700, pol)
-        assert a.tail_bound >= tail_mass_nbs(0.5, 700, 700 + 2043)
-        assert overlap_sq(a, nbs(NBSParams(0.5, 700), pol)) >= 1 - 1e-12
-        with pytest.raises(TruncationError, match="geometric amplitudes underflow"):
-            excited_geometric(0.5, 3000, pol)
+        a = excited_geometric(0.5, 3000, pol)
+        b = nbs(NBSParams(0.5, 3000), pol)
+        assert np.isfinite(a.amplitudes).all()
+        assert (a.n_max, a.tail_bound) == (b.n_max, b.tail_bound)
+        # nbs's own amplitudes carry a squared norm of 1 + 3.6e-12 here
+        assert overlap_sq(a, b) / np.sum(b.probabilities()) >= 1 - 1e-12
+
+    @pytest.mark.parametrize(
+        "eta,m", [(1.0, 0), (1.0, 5), (0.5, 0), (0.2, 9), (0.7, 40), (0.5, 300), (0.9, 300)]
+    )
+    def test_shares_the_basis_of_nbs(self, eta, m):
+        a = excited_geometric(eta, m)
+        b = nbs(NBSParams(eta, m))
+        assert (a.n_max, a.tail_bound) == (b.n_max, b.tail_bound)
 
     def test_eta_one_number_state(self):
         a = excited_geometric(1.0, 2)

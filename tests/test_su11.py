@@ -158,6 +158,14 @@ class TestLadderResidual:
     def test_nonlinear_lowering(self, eta, m):
         assert nonlinear_eigen_residual(eta, m) < 1e-8
 
+    def test_residuals_on_the_basis_of_nbs(self):
+        # NB(0.05, 100) needs the whole default 4096 cap, so the residuals
+        # must ask for no larger basis than nbs.  The ladder residual is
+        # absolute on N v, of norm <N> ~ 2000: rounding alone gives 3e-13
+        assert nbs(NBSParams(0.05, 100)).n_max == 4096
+        assert ladder_residual(0.05, 100) <= 1e-12
+        assert nonlinear_eigen_residual(0.05, 100) <= 1e-13
+
 
 class TestDisplace:
     def test_zero_argument_is_number_state(self):

@@ -6,8 +6,9 @@ Runs each golden command below, `nbs verify` last, as
 `python -m nbstates ...` from each tree (PYTHONPATH and the working
 directory set to it, OPENBLAS_NUM_THREADS=1), one command at a time,
 and prints per command whether stdout, stderr and the exit code are
-identical.  Exits 0 only if every command matches.  Standard library
-only.
+identical.  For each stream that differs it prints the first differing
+line from each tree, cut to 200 characters.  Exits 0 only if every
+command matches.  Standard library only.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from itertools import zip_longest
 
 GOLDEN = (
     "stats --eta 0.8 --m 3",
@@ -54,6 +56,18 @@ def run(src: str, command: str) -> tuple[bytes, bytes, int]:
     return proc.stdout, proc.stderr, proc.returncode
 
 
+def first_difference(old: bytes | int, new: bytes | int) -> tuple[str, str]:
+    """The first line where two outputs (or the two exit codes) differ, from each."""
+    if isinstance(old, int):
+        return str(old), str(new)
+    pairs = zip_longest(old.decode(errors="replace").splitlines(),
+                        new.decode(errors="replace").splitlines(), fillvalue="<no line>")
+    for a, b in pairs:
+        if a != b:
+            return a[:200], b[:200]
+    return ("<same lines, other line endings>",) * 2
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2 or not all(os.path.isdir(os.path.join(d, "nbstates")) for d in argv):
         print("usage: golden_cli.py OLD_SRC NEW_SRC (each a directory holding nbstates/)",
@@ -63,10 +77,13 @@ def main(argv: list[str]) -> int:
     differ = 0
     for command in GOLDEN:
         parts = zip(("stdout", "stderr", "exit code"), run(old, command), run(new, command))
-        changed = [name for name, a, b in parts if a != b]
+        changed = [(name, a, b) for name, a, b in parts if a != b]
         differ += bool(changed)
-        verdict = "differ: " + ", ".join(changed) if changed else "identical"
+        verdict = "differ: " + ", ".join(c[0] for c in changed) if changed else "identical"
         print(f"nbs {command}: {verdict}")
+        for name, a, b in changed:
+            first_old, first_new = first_difference(a, b)
+            print(f"    {name} old: {first_old}\n    {name} new: {first_new}")
     print(f"{len(GOLDEN) - differ} of {len(GOLDEN)} commands identical")
     return 1 if differ else 0
 
