@@ -30,8 +30,6 @@ from .phasespace import (
     GridSpec,
     PhaseSpaceGrid,
     PhaseSpacePoint,
-    displaced_number_state,
-    displacement_matrix_element,
     grid_evaluate,
     q_function,
     q_function_closed,
@@ -97,8 +95,6 @@ __all__ = [
     "apply_diag",
     "atom_passage",
     "default_eta_grid",
-    "displaced_number_state",
-    "displacement_matrix_element",
     "evolve_intensity_dependent",
     "evolve_parametric",
     "excited_geometric",

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .fock import ConvergenceError, TruncationError
+from .fock import TruncationError
 
 __all__ = [
     "apply_series",
@@ -34,7 +34,6 @@ __all__ = [
     "expm_apply_skew",
     "expm_apply_skew_batch",
     "skew_norm1",
-    "taylor_terms",
 ]
 
 # Miller's recurrence starts where (rho/2)^k / k! has fallen below this,
@@ -42,26 +41,6 @@ __all__ = [
 _BESSEL_START_EPS = 1e-40
 # and rescales its values to 1 before a step would take them past this
 _RESCALE = 1e250
-
-
-def taylor_terms(theta: float, tol: float) -> int:
-    """Smallest J with theta^(J+1) / (J+1)! below tol.
-
-    The package no longer calls this.  It goes together with
-    ``expm_apply_skew_batch``, once perfbench/tracer.py stops wrapping
-    that by name.
-    """
-    if theta <= 0.0:
-        return 1
-    j = 0
-    log_term = math.log(theta)  # log of theta^(j+1)/(j+1)! at j=0
-    log_tol = math.log(tol)
-    while log_term >= log_tol:
-        j += 1
-        log_term += math.log(theta) - math.log(j + 1)
-        if j > 4096:
-            raise ConvergenceError(f"Taylor bound will not reach {tol} at theta={theta}")
-    return max(j, 1)
 
 
 def chebyshev_terms(rho: float, tol: float) -> int:

@@ -10,8 +10,8 @@ Subcommands
     verify        run the built-in acceptance checks, one line per check
 
 Exit codes: 0 success, 1 invalid arguments or config, 2 numerical failure
-(truncation or series convergence).  Output is deterministic: identical
-configuration produces bit-identical bytes.
+(truncation).  Output is deterministic: identical configuration produces
+bit-identical bytes.
 
 Option precedence: command-line flag, then config-file entry, then the
 NBS_TAIL_EPS environment variable (tail_eps only), then built-in defaults.
@@ -33,7 +33,7 @@ import numpy as np
 
 from ._csv import csv_text
 from .dynamics import EvolutionSpec, evolve_intensity_dependent, evolve_parametric, fidelity
-from .fock import DOMAINS, ConvergenceError, TruncationError, TruncationPolicy
+from .fock import DOMAINS, TruncationError, TruncationPolicy
 from .phasespace import GridSpec, grid_evaluate
 from .squeeze import SCAN_POLICY, default_eta_grid, squeezing_scan
 from .states import NBSParams, nbs, two_mode_geometric
@@ -420,7 +420,7 @@ def run(config: RunConfig) -> int:
                 "sdist": _grid_command_text,
                 "evolve": _evolve_text,
             }[config.command](config)
-    except (TruncationError, ConvergenceError) as exc:
+    except TruncationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     if config.output is None:

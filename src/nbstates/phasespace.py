@@ -16,9 +16,7 @@ grows neither with the window nor with |beta|.
 Q grids take the same wave function on one lattice and sum the
 windowed-Fourier integral <beta|psi> against the coherent state's
 Gaussian as one matrix product per grid, so Q >= 0 by construction; a
-single Q point is the coherent overlap summed in the log domain.  The
-displaced number states D(beta)|k> come from the banded-exponential
-engine.
+single Q point is the coherent overlap summed in the log domain.
 """
 
 from __future__ import annotations
@@ -29,17 +27,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._expm import boundary_mass, expm_apply_skew
-from .fock import (ConvergenceError, FockVector, TruncationError, TruncationPolicy,
-                   check_domain)
+from .fock import FockVector, TruncationError, check_domain
 from .states import NBSParams
 
 __all__ = [
     "GridSpec",
     "PhaseSpaceGrid",
     "PhaseSpacePoint",
-    "displaced_number_state",
-    "displacement_matrix_element",
     "grid_evaluate",
     "q_function",
     "q_function_closed",
@@ -143,59 +137,6 @@ class PhaseSpaceGrid:
     xs, ys = GridSpec.xs, GridSpec.ys
 
 
-def displacement_matrix_element(n: int, k: int, beta: complex) -> complex:
-    """<n| exp(beta a† - beta* a) |k> by the terminating sum, from log|beta|.
-
-    With x = |beta|^2 and J = min(n, k) the sum has the terms
-    t_j = (-1)^j C(n, j) C(k, j) j! x^-j, j = 0..J, times the prefactor
-    e^L, L = -x/2 + ((n+k)/2) log x - (log n! + log k!)/2, log x taken
-    as 2 log|beta|.  The sum runs up from t_0 = 1 while |t_J| <= e^345
-    (about 1e150); past that, as when x underflows, it runs down from t_J,
-    whose logarithm joins L, so no term overflows or divides by x = 0.
-    beta = 0 returns the exact Kronecker delta, and a |beta|^2 that
-    overflows returns 0, as e^{-x/2} then outweighs the rest of e^L for
-    every n + k below 1e305.  The terms alternate and may cancel, so the
-    result carries the absolute rounding bound
-    2^-53 e^L ((J + 2) sum_j |term_j| + |L| |sum_j term_j|), the
-    last part from exp(L); past 1e-10, or on a non-finite sum, this
-    raises ConvergenceError.  The distribution engines never call this.
-    """
-    check_domain(n=n, k=k, beta=beta)
-    beta = complex(beta)
-    if beta == 0:
-        return 1.0 + 0.0j if n == k else 0.0 + 0.0j
-    r = abs(beta)
-    x = r * r
-    if x == math.inf:
-        return 0.0 + 0.0j
-    log_x, j_top = 2.0 * math.log(r), min(n, k)
-    log_mag = (-0.5 * x + 0.5 * (n + k) * log_x
-               - 0.5 * (math.lgamma(n + 1) + math.lgamma(k + 1)))
-    # log |t_J| = log (n! k! / (J! (n-J)! (k-J)!)) - J log x
-    log_last = (math.lgamma(n + 1) + math.lgamma(k + 1) - math.lgamma(j_top + 1)
-                - math.lgamma(n - j_top + 1) - math.lgamma(k - j_top + 1) - j_top * log_x)
-    up = log_last <= 345.0
-    if not up:
-        log_mag += log_last
-    term = total = 1.0 if up else (-1.0) ** j_top
-    size = 1.0
-    for j in range(j_top):
-        if up:
-            term *= -(n - j) * (k - j) / ((j + 1) * x)
-        else:
-            term *= -(j_top - j) * x / ((n - j_top + j + 1) * (k - j_top + j + 1))
-        total += term
-        size += abs(term)
-    mag = math.exp(log_mag)
-    bound = 2.0**-53 * mag * ((j_top + 2) * size + abs(log_mag) * abs(total))
-    if not bound <= 1e-10:
-        raise ConvergenceError(f"<{n}|D(beta)|{k}> at |beta| = {r:.6g}: "
-                               f"rounding bound {bound:.3e} passes 1e-10")
-    theta = cmath.phase(beta)
-    phase = (-1.0) ** k * cmath.exp(1j * (n - k) * theta)
-    return mag * total * phase
-
-
 def wigner(state: FockVector, p: PhaseSpacePoint) -> float:
     """W at one point: the grid engine ``_grid_walk`` at the one centre p.
 
@@ -262,48 +203,6 @@ def q_function_closed(params: NBSParams, p: PhaseSpacePoint) -> float:
         raise TruncationError(f"closed-form Q needs {j_top} terms at |beta| = {r:.6g}")
     s = _overlap(np.ones(j_top + 1), p.beta * math.sqrt(1.0 - eta))
     return math.exp(log_pref) * abs(s) ** 2 / math.pi
-
-
-def displaced_number_state(beta: complex, k: int, n_max: int) -> FockVector:
-    """D(beta)|k> truncated to n_max, with the lost mass in tail_bound.
-
-    The banded exponential runs on a workspace of at least n_max + 1
-    rows that, with x = |beta|^2, spans the shift k + x plus eight times
-    the larger of sqrt(x + k + 1) and the photon-number spread
-    sqrt(x (2k + 1)) of D(beta)|k>.  Raises TruncationError when its top
-    two amplitudes hold more than ``boundary_mass`` allows at the default
-    basis tolerance, or when more than 1e-8 of the norm lies past n_max.
-    That last holds before any workspace is sized when the mean x + k
-    passes n_max by a > 0 and Cantelli's bound a^2 / (x (2k + 1) + a^2)
-    on the mass above n_max exceeds 1e-8; it is formed from |beta|, so
-    an |beta|^2 that overflows is refused too.
-    """
-    check_domain(k=k, beta=beta)
-    if k > n_max:
-        raise ValueError(f"need k <= n_max, got k={k}, n_max={n_max}")
-    beta = complex(beta)
-    r = abs(beta)
-    a = r * r + k - n_max
-    if a > 0.0:
-        q = r / a
-        lost = 1.0 / (1.0 + (2.0 * k + 1.0) * q * q)
-        if lost > 1e-8:
-            raise TruncationError(f"displaced number state loses norm at least "
-                                  f"{lost:.3e} past n_max={n_max} at |beta| = {r:.6g}")
-    x = r ** 2
-    spread = max(math.sqrt(x + k + 1.0), math.sqrt(x * (2.0 * k + 1.0)))
-    w = max(n_max, math.ceil(k + x + 8.0 * spread + 40.0))
-    v = np.zeros(w + 1, dtype=complex)
-    v[k] = 1.0
-    phi = expm_apply_skew(beta * np.sqrt(np.arange(1.0, w + 1.0)), v, tol=1e-13)
-    boundary_mass(phi, TruncationPolicy().tail_eps, "the displaced state")
-    amps = phi[: n_max + 1]
-    leak = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
-    if leak > 1e-8:
-        raise TruncationError(
-            f"displaced number state loses norm {leak:.3e} past n_max={n_max}"
-        )
-    return FockVector(amps, n_max, leak)
 
 
 def _grid_start(state: FockVector, xs: np.ndarray, ys: np.ndarray, margin: float):

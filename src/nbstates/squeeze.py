@@ -18,7 +18,6 @@ milliseconds.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -33,7 +32,6 @@ __all__ = [
     "SqueezeScan",
     "VarianceSample",
     "field_moments",
-    "nbs_field_moments_series",
     "quadrature_variances",
     "refine_region_edge",
     "squeezing_scan",
@@ -120,45 +118,6 @@ def quadrature_variances(state: FockVector) -> tuple[float, float]:
             "quadrature variances here assume real moments"
         )
     return float(var_x), float(var_y)
-
-
-def nbs_field_moments_series(eta: float, m: int) -> tuple[float, float]:
-    """<a> and <a^2> for nbs(eta, m) by direct binomial-sum evaluation.
-
-    Independent of the amplitude-array route: exact integer binomials,
-    term-by-term, with a geometric stopping rule.  Intended as an oracle
-    for m <= a few tens and eta >= 0.01.
-    """
-    check_domain(eta=eta, m=m)
-    if eta == 1.0:
-        return 0.0, 0.0
-    q = 1.0 - eta
-    pref = eta ** (m + 1)
-
-    def term_a(n):
-        return math.sqrt(
-            (n + 1.0) * math.comb(n, m) * math.comb(n + 1, m)
-        ) * q ** (n - m)
-
-    def term_a2(n):
-        return math.sqrt(
-            (n + 1.0) * (n + 2.0) * math.comb(n, m) * math.comb(n + 2, m)
-        ) * q ** (n - m)
-
-    def summed(term):
-        acc = 0.0
-        n = m
-        while True:
-            t = term(n)
-            acc += t
-            # past the distribution peak the ratio settles near q < 1
-            if n > m + 8 and n * eta > m + 1 and t < 1e-18 * acc:
-                return acc
-            n += 1
-            if n - m > 10_000_000:
-                raise RuntimeError("series failed to terminate")
-
-    return pref * math.sqrt(q) * summed(term_a), pref * q * summed(term_a2)
 
 
 @dataclass(frozen=True, eq=False)

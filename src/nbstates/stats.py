@@ -8,7 +8,7 @@ carries both values so disagreement is visible, not silent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -19,7 +19,7 @@ from nbstates.fock import (
     pad_to,
     tail_mass_nbs,
 )
-from nbstates.phasespace import GridSpec, displaced_number_state, displacement_matrix_element
+from nbstates.phasespace import GridSpec
 from nbstates.squeeze import squeezing_scan
 from nbstates.states import NBSParams, excited_geometric, nbs, number_state, two_mode_geometric
 from nbstates.stats import (
@@ -42,10 +42,6 @@ _OUTSIDE = [
     (tail_mass_nbs, (0.5, 1.5, 10), "m must be a nonnegative integer, got 1.5"),
     (tail_mass_nbs, (0.5, 0, 2.5), "n_max must be a nonnegative integer, got 2.5"),
     (tail_mass_nbs, (0.5, 0, -1), "n_max must be a nonnegative integer, got -1"),
-    (displaced_number_state, (math.inf, 0, 10), "beta must be finite, got inf"),
-    (displaced_number_state, (math.nan, 0, 10), "beta must be finite, got nan"),
-    (displacement_matrix_element, (0, 0, math.inf), "beta must be finite, got inf"),
-    (displacement_matrix_element, (0, 0, complex(1.0, math.nan)), "beta must be finite, got (1+nanj)"),
     (sub_poissonian_threshold, (1.5,), "m must be a nonnegative integer, got 1.5"),
     (squeezing_scan, ([1.5], [0.5]), "m must be a nonnegative integer, got 1.5"),
     (squeezing_scan, ([1], [0.5, 1.5]), "eta must be in (0, 1], got 1.5"),

@@ -1,7 +1,6 @@
 import cmath
 import functools
 import math
-import time
 import warnings
 
 import numpy as np
@@ -10,13 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from nbstates._expm import boundary_mass
-from nbstates.fock import ConvergenceError, FockVector, TruncationError
+from nbstates.fock import FockVector, TruncationError
 from nbstates.states import NBSParams, nbs, number_state
 from nbstates.phasespace import (
     GridSpec,
     PhaseSpacePoint,
-    displaced_number_state,
-    displacement_matrix_element,
     grid_evaluate,
     q_function,
     q_function_closed,
@@ -42,140 +39,6 @@ class TestPoint:
     def test_finite_required(self):
         with pytest.raises(ValueError):
             P(math.inf, 0.0)
-
-
-class TestMatrixElement:
-    @pytest.mark.parametrize("beta", [0.3, 1.0 + 0.5j, -0.7 + 2.1j])
-    def test_low_order_closed_forms(self, beta):
-        x = abs(beta) ** 2
-        pref = math.exp(-x / 2)
-        assert displacement_matrix_element(0, 0, beta) == pytest.approx(
-            pref, abs=1e-14
-        )
-        assert displacement_matrix_element(1, 0, beta) == pytest.approx(
-            beta * pref, abs=1e-14
-        )
-        assert displacement_matrix_element(1, 1, beta) == pytest.approx(
-            (1 - x) * pref, abs=1e-14
-        )
-
-    def test_zero_beta_is_delta(self):
-        assert displacement_matrix_element(4, 4, 0.0) == 1.0
-        assert displacement_matrix_element(4, 3, 0.0) == 0.0
-
-    def test_sign_convention_against_dense_oracle(self):
-        # fixes the sign of the terminating-sum argument once and for all
-        beta = 0.7 - 0.3j
-        d = dense_displacement(beta, 80)
-        for n in range(7):
-            for k in range(7):
-                got = displacement_matrix_element(n, k, beta)
-                assert abs(got - d[n, k]) < 1e-10
-
-    @pytest.mark.parametrize("k", [0, 3, 10])
-    @pytest.mark.parametrize("r", [0.5, 1.5, 3.0])
-    def test_unitarity_column_sums(self, k, r):
-        beta = r * complex(math.cos(0.7), math.sin(0.7))
-        x = r * r
-        n_top = int(x + k + 8 * math.sqrt(x + k + 1) + 40)
-        total = sum(
-            abs(displacement_matrix_element(n, k, beta)) ** 2
-            for n in range(n_top + 1)
-        )
-        assert abs(total - 1.0) < 1e-10
-
-    @pytest.mark.parametrize("beta,top", [(0.2 + 0.1j, 10), (1.0, 10), (1.001j, 10),
-                                          (-2.5, 10), (1e-3 - 2e-3j, 45)])
-    def test_both_directions_against_dense_oracle(self, beta, top):
-        # the sum runs up from j = 0, or down from j = min(n, k) where that
-        # last term passes e^345, as it does at beta = 1e-3 - 2e-3j from n = k = 24
-        d = dense_displacement(beta, 80)
-        for n in range(top):
-            for k in range(top):
-                assert abs(displacement_matrix_element(n, k, beta) - d[n, k]) < 1e-10
-
-    @pytest.mark.parametrize("beta", [1e-170, 1e-170j, 3e-200 - 4e-200j])
-    def test_tiny_beta_is_the_first_order_term(self, beta):
-        # |beta|^2 underflows to 0 here, and the ascending terms divided by it
-        beta = complex(beta)
-        for n in (0, 1, 7):
-            assert displacement_matrix_element(n, n, beta) == pytest.approx(1.0, abs=1e-15)
-            # D(beta) = 1 + beta a† - beta* a + O(|beta|^2)
-            assert displacement_matrix_element(n + 1, n, beta) == pytest.approx(
-                beta * math.sqrt(n + 1), rel=1e-12)
-            assert displacement_matrix_element(n, n + 1, beta) == pytest.approx(
-                -beta.conjugate() * math.sqrt(n + 1), rel=1e-12)
-        assert abs(displacement_matrix_element(3, 1, beta)) < 1e-300
-
-    @pytest.mark.parametrize("beta", [1e100, 1e160, -1e160j, 1e300 + 1e300j])
-    def test_huge_beta_is_zero(self, beta):
-        # |beta|^2 overflows from |beta| ~ 1.34e154, where abs(beta) ** 2 raised
-        for n, k in ((0, 0), (1, 1), (5, 2), (0, 40)):
-            assert displacement_matrix_element(n, k, beta) == 0.0
-
-    def test_rejects_negative_indices(self):
-        with pytest.raises(ValueError):
-            displacement_matrix_element(-1, 0, 0.5)
-
-    @pytest.mark.parametrize("n,k,beta", [(50, 50, 3.0), (200, 200, 3.0), (150, 150, 0.5)])
-    def test_cancellation_past_the_rounding_bound_raises(self, n, k, beta):
-        # the sum was off by 6.1e-4, -1.46e14 and NaN here
-        with pytest.raises(ConvergenceError, match="rounding bound"):
-            displacement_matrix_element(n, k, beta)
-
-    def test_within_the_rounding_bound(self):
-        # the bound is 2.6e-11 here, the realised error 1.1e-13
-        want = displaced_number_state(0.5, 100, 300).amplitudes[100]
-        assert abs(displacement_matrix_element(100, 100, 0.5) - want) < 1e-10
-
-
-class TestDisplacedNumberState:
-    def test_zero_displacement(self):
-        v = displaced_number_state(0.0, 5, 12)
-        assert v.amplitudes[5] == 1.0
-        assert np.sum(np.abs(v.amplitudes)) == 1.0
-
-    def test_coherent_amplitudes(self):
-        beta = 1.2 + 0.8j
-        v = displaced_number_state(beta, 0, 40)
-        x = abs(beta) ** 2
-        expect = math.exp(-x / 2)
-        for n in range(15):
-            assert abs(v.amplitudes[n] - expect) < 1e-12
-            expect = expect * beta / math.sqrt(n + 1)
-
-    def test_matches_matrix_elements(self):
-        beta = 0.9 - 0.4j
-        v = displaced_number_state(beta, 4, 30)
-        for n in [0, 2, 4, 7, 12]:
-            assert abs(
-                v.amplitudes[n] - displacement_matrix_element(n, 4, beta)
-            ) < 1e-11
-
-    @pytest.mark.parametrize("k,r", [(0, 3.0), (5, 2.0), (10, 3.0)])
-    def test_norm_preserved_with_adaptive_basis(self, k, r):
-        x = r * r
-        n_max = int(x + k + 8 * math.sqrt(x + k + 1) + 40)
-        v = displaced_number_state(r, k, n_max)
-        assert abs(np.sum(np.abs(v.amplitudes) ** 2) - 1.0) < 1e-10
-
-    def test_leak_detected(self):
-        with pytest.raises(TruncationError, match="norm"):
-            displaced_number_state(6.0, 0, 20)
-
-    @pytest.mark.parametrize("beta", [1e160, 1e3])
-    def test_hopeless_beta_is_refused_before_the_workspace(self, beta):
-        # 1e160 overflowed |beta|^2; 1e3 ran for minutes on a 1e6-row workspace
-        start = time.perf_counter()
-        with pytest.raises(TruncationError, match="norm at least"):
-            displaced_number_state(beta, 0, 5)
-        assert time.perf_counter() - start < 1.0
-
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            displaced_number_state(0.5, 8, 5)
-        with pytest.raises(ValueError):
-            displaced_number_state(0.5, -1, 5)
 
 
 class TestQFunction:
@@ -508,7 +371,7 @@ class TestFourierGridEngine:
 
     @pytest.mark.parametrize("s", [0.0, -1e-9, -0.3, -1.0])
     def test_complex_amplitudes_against_pointwise(self, s, reference):
-        state = displaced_number_state(1 + 0.5j, 2, 40)
+        state = FockVector.from_amplitudes(dense_displacement(1 + 0.5j, 40)[:, 2])
         spec = GridSpec(-2.5, 3.0, -1.0, 2.2, 9, 6)
         g = grid_evaluate(state, spec, "W" if s == 0.0 else "S", s)
         nodes = [(i, j) for i in range(9) for j in range(6)]
@@ -636,7 +499,7 @@ class TestGaborQGrid:
                         lambda x, y: _q_mp(state.amplitudes, x, y), nodes)
 
     def test_complex_amplitudes(self):
-        state = displaced_number_state(1 + 0.5j, 2, 40)
+        state = FockVector.from_amplitudes(dense_displacement(1 + 0.5j, 40)[:, 2])
         _q_grid_against(state, GridSpec(-2.5, 3.0, -1.0, 2.2, 9, 6),
                         lambda x, y: _q_mp(state.amplitudes, x, y))
 

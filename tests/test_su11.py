@@ -34,7 +34,6 @@ from nbstates._expm import (
     chebyshev_terms,
     expm_apply_skew,
     skew_norm1,
-    taylor_terms,
 )
 
 
@@ -221,11 +220,6 @@ class TestDisentangle:
 
 
 class TestExpmCore:
-    def test_taylor_terms_bound(self):
-        j = taylor_terms(6.0, 1e-14)
-        assert 6.0 ** (j + 1) / math.factorial(j + 1) < 1e-14
-        assert 6.0**j / math.factorial(j) >= 1e-14
-
     def test_against_dense_expm(self):
         rng = np.random.default_rng(11)
         n = 40
