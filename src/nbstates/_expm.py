@@ -26,7 +26,6 @@ import numpy as np
 from .fock import TruncationError
 
 __all__ = [
-    "apply_series",
     "bessel_j",
     "boundary_mass",
     "chebyshev_apply",
@@ -188,18 +187,3 @@ def expm_apply_skew_batch(up: np.ndarray, V: np.ndarray, s: int,
         V = acc
     return V
 
-
-def apply_series(apply_op, v: np.ndarray) -> np.ndarray:
-    """exp(A) v by its finite Taylor sum, for a nilpotent A (apply_op(w) = A w).
-
-    A strictly triangular band has A^len(v) = 0, so the sum ends at the
-    first term that is exactly zero, at most len(v) steps in.
-    """
-    acc = v.astype(complex)
-    term = acc
-    for j in range(1, len(v)):
-        term = apply_op(term) / j
-        if not term.any():
-            break
-        acc += term
-    return acc

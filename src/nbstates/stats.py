@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockVector, TruncationError, TruncationPolicy, check_domain
-from .states import NBSParams, nbs, sharpened
+from .states import choose_n_max, nbs_amplitudes
 
 __all__ = [
     "StatsReport",
@@ -115,9 +115,14 @@ def stats_report(
 ) -> StatsReport:
     """Assemble the full statistics report for one parameter point.
 
-    The numeric Mandel Q is computed from a state built on a sharpened
-    basis so that the brute-force <N^2> truncation error stays far below
-    the 1e-8 agreement budget.
+    The numeric Mandel Q uses NB(eta, m) on ``choose_n_max(..., k=2)``, which
+    hides under tail_eps of E[(N+1)(N+2)].  With M, S the sums of n p_n and
+    n^2 p_n there and T1, T2 the parts of <N>, <N^2> above it, Q_num - Q =
+    T1 (1 + S/(M <N>)) - T2/<N>: the larger of two nonnegative terms bounds
+    it.  T2 < tail_eps (m+1)(m+2)/eta^2, and the missing <N> term is at most
+    f = (2 <N> + Q + 1)/(n_max + 1) times the other (T2 >= (n_max + 1) T1,
+    S/M ~ <N> + Q + 1): |Q_num - Q| <~ max(1, f) tail_eps (m+1)(m+2)/(eta^2 <N>).
+    Rounding, mostly the ratio recursion's drift, adds up to 2^-52 <N>^2.
     """
     policy = policy or TruncationPolicy()
     f1, f2 = factorial_moments(eta, m)
@@ -126,8 +131,8 @@ def stats_report(
     if degenerate:
         q_numeric = 0.0
     else:
-        state = nbs(NBSParams(eta, m), sharpened(policy))
-        q_numeric = mandel_q_numeric(state)
+        n_max, tail = choose_n_max(eta, m, policy, k=2)
+        q_numeric = mandel_q_numeric(FockVector(nbs_amplitudes(eta, m, n_max), n_max, tail))
     g_values = {lam: generating_function(lam, eta, m) for lam in lambdas}
     return StatsReport(
         eta=eta,

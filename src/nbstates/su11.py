@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from ._expm import apply_series, boundary_mass, expm_apply_skew
+from ._expm import boundary_mass, expm_apply_skew
 from .fock import (
     FockVector,
     TruncationError,
@@ -25,10 +25,9 @@ from .fock import (
     apply_diag,
     check_domain,
 )
-from .states import NBSParams, choose_n_max, nbs, sharpened
+from .states import NBSParams, choose_n_max, nbs
 
 __all__ = [
-    "disentangle_check",
     "k_minus",
     "k_plus",
     "k_zero",
@@ -137,42 +136,6 @@ def orbit(xi: float, m: int, policy: TruncationPolicy, what: str):
     out = expm_apply_skew(xi * _raising_band(m, n_max), v0)
     bound = boundary_mass(out, policy.tail_eps, what)
     return out, tail + bound, eta
-
-
-def disentangle_check(
-    alpha: float, m: int, policy: TruncationPolicy | None = None
-) -> float:
-    """Residual between exp(alpha(K+ - K-))|m> and its disentangled form.
-
-    The right-hand side is exp(g K+) (1-g^2)^{K0} exp(-g K-) |m> with
-    g = tanh(alpha); both sides are built on one sharpened basis and the
-    Euclidean difference of amplitude arrays is returned.
-    """
-    policy = policy or TruncationPolicy()
-    tight = sharpened(policy)
-    lhs = su11_displace(alpha, m, tight)
-    n_max = lhs.n_max
-    g = math.tanh(alpha)
-
-    band = _raising_band(m, n_max)
-
-    def raise_op(w):
-        out = np.zeros_like(w)
-        out[1:] = g * band * w[:-1]
-        return out
-
-    def lower_op(w):
-        out = np.zeros_like(w)
-        out[:-1] = -g * band * w[1:]
-        return out
-
-    v = np.zeros(n_max + 1, dtype=complex)
-    v[m] = 1.0
-    v = apply_series(lower_op, v)
-    k0 = np.arange(n_max + 1) - (m - 1) / 2
-    v *= (1.0 - g * g) ** k0
-    v = apply_series(raise_op, v)
-    return float(np.linalg.norm(lhs.amplitudes - v))
 
 
 def nonlinear_eigen_residual(

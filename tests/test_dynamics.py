@@ -10,7 +10,6 @@ from nbstates.states import (
     PairBasisVector,
     nbs,
     number_state,
-    sharpened,
     two_mode_geometric,
     two_mode_nbs,
 )
@@ -122,7 +121,7 @@ class TestAtomPassage:
     def test_repeated_addition(self, m):
         # repeated addition amplifies the hidden tail by (n+1)...(n+m),
         # so the base state needs headroom below the fidelity budget
-        base = two_mode_geometric(0.4, sharpened(TruncationPolicy()))
+        base = two_mode_geometric(0.4, TruncationPolicy(tail_eps=1e-26))
         ground, _ = atom_passage(base, 0.02, m)
         assert fidelity(ground, two_mode_nbs(0.4, m)) > 1 - 1e-10
 

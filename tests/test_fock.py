@@ -255,6 +255,37 @@ class TestTailMass:
         assert want <= got <= want * (1 + 1e-8) + floor
 
 
+    @settings(max_examples=60)
+    @given(
+        k=st.integers(0, 3),
+        eta=st.floats(0.05, 0.95),
+        m=st.integers(0, 40),
+        above=st.integers(0, 3000),
+    )
+    def test_shifted_tail_is_the_hidden_share_of_a_rising_moment(self, k, eta, m, above):
+        # E[(N+1)...(N+k); N > n] of NB(eta, m), summed term by term from
+        # N = n + 1, over its whole value (m+1)...(m+k)/eta^k.  The term
+        # ratio r_N = (1-eta)(N+k+1)/(N+1-m) does not grow with N, so once
+        # r_N < 1 the terms left after the next one t sum to at most
+        # t/(1 - r_N), and the sum stops when that is below 1e-20 of it
+        n, e = m + above, mpmath.mpf(eta)
+        with mpmath.workdps(30):
+            term = (mpmath.rf(n + 2, k) * mpmath.binomial(n + 1, m)
+                    * e ** (m + 1) * (1 - e) ** (n + 1 - m))
+            hidden, big_n = mpmath.mpf(0), n + 1
+            while True:
+                hidden += term
+                ratio = (1 - e) * (big_n + k + 1) / (big_n + 1 - m)
+                term *= ratio
+                big_n += 1
+                if ratio < 1 and term / (1 - ratio) < 1e-20 * hidden:
+                    break
+            want = hidden * e**k / mpmath.rf(m + 1, k)
+        got = mpmath.mpf(tail_mass_nbs(eta, m + k, n + k))
+        floor = (m + k + 2) * math.ulp(0.0)
+        assert want <= got <= want * (1 + 1e-10) + floor
+
+
 class TestRaisingOverlapChain:
     @pytest.mark.parametrize("m", [0, 2, 5])
     @pytest.mark.parametrize("n_up", [1, 2, 3])

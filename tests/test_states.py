@@ -140,6 +140,33 @@ class TestNBS:
         v = nbs(NBSParams(eta, m))
         assert (v.n_max, v.tail_bound) == (n, tail)
 
+    @pytest.mark.parametrize(
+        "eta,m,n_max", [(0.3, 1, 132), (0.1, 5, 592), (0.05, 24, 1792), (0.01, 1, 4096)]
+    )
+    def test_basis_hiding_a_share_of_the_second_rising_moment(self, eta, m, n_max):
+        # k = 2 tests the share of E[(N+1)(N+2)] above the basis, and still
+        # returns the NB(eta, m) mass there
+        pol = TruncationPolicy()
+        assert choose_n_max(eta, m, pol, k=2) == (n_max, tail_mass_nbs(eta, m, n_max))
+        sizes = list(basis_schedule(m, pol.n_hard_cap))
+        before = sizes[sizes.index(n_max) - 1]
+        assert tail_mass_nbs(eta, m + 2, n_max + 2) < 1e-12 <= tail_mass_nbs(eta, m + 2, before + 2)
+
+    def test_cap_failure_names_the_hidden_moment(self):
+        with pytest.raises(
+            TruncationError,
+            match=r"m=3000: achieved hidden share of E\[\(N\+1\)\.\.\.\(N\+2\)\] 1\.000e\+00 >= 1e-12$",
+        ):
+            choose_n_max(0.5, 3000, TruncationPolicy(), k=2)
+
+    @pytest.mark.parametrize("eta,m", [(0.5, 3000), (0.3, 2000)])
+    def test_log_path_brackets_the_unit_mass(self, eta, m):
+        # the first amplitude is below the normal range, so the whole row
+        # comes from the compensated sum of logarithms
+        assert eta ** ((m + 1) / 2) < np.finfo(float).tiny
+        v = nbs(NBSParams(eta, m), TruncationPolicy(n_hard_cap=16384))
+        assert abs(v.probabilities().sum() + v.tail_bound - 1.0) < 1e-12
+
     @pytest.mark.parametrize("eta,m", [(0.5, 3000), (0.1, 700)])
     def test_large_m_amplitudes_are_finite(self, eta, m):
         # eta^((m+1)/2) underflows here while the ratio product overflows
@@ -261,10 +288,9 @@ class TestExcitedGeometric:
     def test_normalization_prefactor(self):
         # the numeric norm of a†^m |eta>_g must equal sqrt(m!) / eta^(m/2)
         from nbstates.fock import apply_creation, norm
-        from nbstates.states import sharpened
 
         eta, m = 0.5, 3
-        v = geometric_state(eta, sharpened(TruncationPolicy()))
+        v = geometric_state(eta, TruncationPolicy(tail_eps=1e-26))
         for _ in range(m):
             v = apply_creation(v)
         assert norm(v) == pytest.approx(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nbstates.fock import TruncationError, TruncationPolicy
-from nbstates.states import NBSParams, geometric_state, nbs, number_state, sharpened
+from nbstates.states import NBSParams, choose_n_max, geometric_state, nbs, number_state
 from nbstates.stats import (
     factorial_moments,
     find_sign_change,
@@ -64,7 +64,7 @@ class TestFactorialMoments:
 
     def test_first_moment_vs_distribution(self):
         eta, m = 0.35, 2
-        v = nbs(NBSParams(eta, m), sharpened(TruncationPolicy()))
+        v = nbs(NBSParams(eta, m), TruncationPolicy(tail_eps=1e-26))
         mean = float(np.sum(np.arange(v.n_max + 1) * v.probabilities()))
         assert mean == pytest.approx(factorial_moments(eta, m)[0], abs=1e-8)
 
@@ -87,14 +87,14 @@ class TestMandelQ:
         assert rep.degenerate_vacuum
 
     def test_numeric_geometric(self):
-        v = geometric_state(0.5, sharpened(TruncationPolicy()))
+        v = geometric_state(0.5, TruncationPolicy(tail_eps=1e-26))
         assert mandel_q_numeric(v) == pytest.approx(1.0, abs=1e-8)
 
     def test_numeric_number_state(self):
         assert mandel_q_numeric(number_state(4, 8)) == pytest.approx(-1.0)
 
     def test_numeric_matches_closed(self):
-        v = nbs(NBSParams(0.8, 3), sharpened(TruncationPolicy()))
+        v = nbs(NBSParams(0.8, 3), TruncationPolicy(tail_eps=1e-26))
         assert mandel_q_numeric(v) == pytest.approx(-0.6875, abs=1e-8)
 
     def test_vacuum_raises(self):
@@ -102,7 +102,7 @@ class TestMandelQ:
             mandel_q_numeric(number_state(0, 4))
 
     def test_closed_vs_numeric_grid(self):
-        pol = sharpened(TruncationPolicy())
+        pol = TruncationPolicy(tail_eps=1e-26)
         for eta in np.arange(0.1, 0.95, 0.1):
             for m in range(11):
                 v = nbs(NBSParams(float(eta), m), pol)
@@ -134,7 +134,7 @@ class TestThreshold:
     @pytest.mark.parametrize("m", [1, 2, 5, 10])
     def test_numeric_sign_change_location(self, m):
         # bisect the numeric Mandel Q and compare with the closed form
-        pol = sharpened(TruncationPolicy())
+        pol = TruncationPolicy(tail_eps=1e-26)
 
         def q_of_eta(eta):
             return mandel_q_numeric(nbs(NBSParams(eta, m), pol))
@@ -144,7 +144,31 @@ class TestThreshold:
         assert found == pytest.approx(thr, abs=1e-4)
 
 
+def stated_q_bound(eta, m, tail_eps, n_max):
+    """The bound stats_report states for |Q_num - Q| on the basis n_max."""
+    mean = (m + 1) / eta - 1
+    f = (2 * mean + mandel_q(eta, m) + 1) / (n_max + 1)
+    return max(1.0, f) * tail_eps * (m + 1) * (m + 2) / (eta**2 * mean) + 2.0**-52 * mean**2
+
+
 class TestReport:
+    @pytest.mark.parametrize("tail_eps", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("m", [0, 1, 3, 7, 24, 100, 500])
+    def test_numeric_q_within_the_stated_bound(self, tail_eps, m):
+        pol = TruncationPolicy(tail_eps=tail_eps, n_hard_cap=1 << 16)
+        for eta in np.linspace(0.02, 0.99, 98):
+            eta = float(eta)
+            rep = stats_report(eta, m, pol)
+            n_max, _ = choose_n_max(eta, m, pol, k=2)
+            error = abs(rep.mandel_q_numeric - rep.mandel_q_closed)
+            assert error <= stated_q_bound(eta, m, tail_eps, n_max), eta
+
+    def test_builds_at_small_eta(self):
+        # the basis hiding 1e-12 of <(N+1)(N+2)> fits the default cap
+        rep = stats_report(0.01, 1)
+        error = abs(rep.mandel_q_numeric - rep.mandel_q_closed)
+        assert error <= stated_q_bound(0.01, 1, 1e-12, 4096)
+
     def test_fields_consistent(self):
         rep = stats_report(0.8, 3)
         assert rep.mandel_q_closed == pytest.approx(-0.6875)

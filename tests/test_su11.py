@@ -17,7 +17,6 @@ from nbstates.fock import (
 )
 from nbstates.states import NBSParams, nbs, number_state
 from nbstates.su11 import (
-    disentangle_check,
     k_minus,
     k_plus,
     k_zero,
@@ -28,7 +27,6 @@ from nbstates.su11 import (
 )
 from nbstates import _expm
 from nbstates._expm import (
-    apply_series,
     bessel_j,
     chebyshev_apply,
     chebyshev_terms,
@@ -208,15 +206,25 @@ class TestDisplace:
 
 
 class TestDisentangle:
+    # exp(g K+) (1-g^2)^K0 exp(-g K-) |m>, g = tanh(alpha), is term by term
+    # nbs(sech^2 alpha, m): K- |m> = 0, and K+^k |m> / k! = sqrt(C(m+k, k)) |m+k>
+    @staticmethod
+    def residual(alpha, m):
+        pol = TruncationPolicy(tail_eps=1e-26)
+        lhs = su11_displace(alpha, m, pol)
+        rhs = nbs(NBSParams(sech_squared(alpha), m), pol)
+        assert lhs.n_max == rhs.n_max
+        return float(np.linalg.norm(lhs.amplitudes - rhs.amplitudes))
+
     def test_small_argument(self):
-        assert disentangle_check(0.5, 0) < 1e-10
+        assert self.residual(0.5, 0) < 1e-10
 
     def test_moderate_argument(self):
-        assert disentangle_check(1.0, 3) < 1e-8
+        assert self.residual(1.0, 3) < 1e-8
 
     @pytest.mark.parametrize("alpha,m", [(0.3, 1), (0.7, 2)])
     def test_grid(self, alpha, m):
-        assert disentangle_check(alpha, m) < 1e-9
+        assert self.residual(alpha, m) < 1e-9
 
 
 class TestExpmCore:
@@ -339,20 +347,6 @@ class TestExpmCore:
         slack = tol + 1e-14 * max(rho, 1.0)
         assert np.linalg.norm(got - want) < slack
         assert abs(np.linalg.norm(got) - 1.0) < slack
-
-    @pytest.mark.parametrize(
-        "seed,n,scale,k",
-        [(5, 30, 0.4, -1), (6, 30, 0.4, 1), (7, 1, 1.0, -1), (8, 120, 1.0, -1),
-         (9, 60, 0.8 + 0.6j, 1)],
-    )
-    def test_series_matches_dense(self, seed, n, scale, k):
-        # strictly triangular bands, so the series is a finite sum
-        rng = np.random.default_rng(seed)
-        a = np.diag(rng.standard_normal(n), k=k) * scale
-        v = rng.standard_normal(n + 1)
-        got = apply_series(lambda w: a @ w, v.astype(complex))
-        expect = expm(a) @ v
-        assert np.linalg.norm(got - expect) < 1e-12
 
 
 class TestSechSquared:

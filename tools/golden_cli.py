@@ -7,13 +7,17 @@ Runs each golden command below, `nbs verify` last, as
 directory set to it, OPENBLAS_NUM_THREADS=1), one command at a time,
 and prints per command whether stdout, stderr and the exit code are
 identical.  For each stream that differs it prints the first differing
-line from each tree, cut to 200 characters.  Exits 0 only if every
-command matches.  Standard library only.
+line from each tree, cut to 200 characters; for a stdout whose differing
+fields all parse as floats, also the largest absolute and relative
+deviation between them.  Exits 0 only if every command matches.
+Standard library only.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import re
 import subprocess
 import sys
 from itertools import zip_longest
@@ -43,6 +47,11 @@ GOLDEN = (
     "wigner --eta 0.5 --m 1 --x-min=-1e-300 --x-max=1e-300 --y-min=-1e-200 --y-max=1e-200"
     " --nx 3 --ny 3",
     "wigner --eta 0.5 --m 1 --x-min=-1e17 --x-max=1e17 --nx 3 --ny 3",
+    # the numeric Mandel Q at the benchmark's smallest eta and largest m, at a
+    # loose tail target, and at an eta whose k = 2 basis just fits the cap
+    "stats --eta 0.05 --m 24",
+    "stats --eta 0.3 --m 1 --tail-eps 1e-6",
+    "stats --eta 0.01 --m 1",
     "verify",
 )
 
@@ -68,6 +77,31 @@ def first_difference(old: bytes | int, new: bytes | int) -> tuple[str, str]:
     return ("<same lines, other line endings>",) * 2
 
 
+def float_deviation(old: bytes, new: bytes) -> tuple[float, float] | None:
+    """Largest absolute and relative change over the fields that differ.
+
+    Fields are split at whitespace, commas, colons and brackets, so JSON
+    and CSV both work.  None unless both outputs have as many fields and
+    every differing pair parses as floats.
+    """
+    a, b = (re.split(r"[\s,:\[\]{}]+", out.decode(errors="replace").strip())
+            for out in (old, new))
+    if len(a) != len(b):
+        return None
+    worst_abs = worst_rel = 0.0
+    for x, y in zip(a, b):
+        if x == y:
+            continue
+        try:
+            fx, fy = float(x), float(y)
+        except ValueError:
+            return None
+        change = abs(fy - fx)
+        worst_abs = max(worst_abs, change)
+        worst_rel = max(worst_rel, change / abs(fx) if fx else math.inf)
+    return worst_abs, worst_rel
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2 or not all(os.path.isdir(os.path.join(d, "nbstates")) for d in argv):
         print("usage: golden_cli.py OLD_SRC NEW_SRC (each a directory holding nbstates/)",
@@ -84,6 +118,10 @@ def main(argv: list[str]) -> int:
         for name, a, b in changed:
             first_old, first_new = first_difference(a, b)
             print(f"    {name} old: {first_old}\n    {name} new: {first_new}")
+            deviation = float_deviation(a, b) if name == "stdout" else None
+            if deviation:
+                print(f"    stdout deviation: max abs {deviation[0]:.3g}, "
+                      f"max rel {deviation[1]:.3g}")
     print(f"{len(GOLDEN) - differ} of {len(GOLDEN)} commands identical")
     return 1 if differ else 0
 
