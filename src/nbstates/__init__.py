@@ -23,7 +23,6 @@ from .fock import (
     apply_annihilation,
     apply_creation,
     apply_diag,
-    inner_product,
     tail_mass_nbs,
 )
 from .phasespace import (
@@ -104,7 +103,6 @@ __all__ = [
     "generating_function",
     "geometric_state",
     "grid_evaluate",
-    "inner_product",
     "k_minus",
     "k_plus",
     "k_zero",

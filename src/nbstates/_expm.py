@@ -28,7 +28,6 @@ from .fock import TruncationError
 __all__ = [
     "bessel_j",
     "boundary_mass",
-    "chebyshev_apply",
     "chebyshev_terms",
     "expm_apply_skew",
     "expm_apply_skew_batch",
@@ -85,17 +84,17 @@ def bessel_j(rho: float, k_top: int) -> np.ndarray:
     return f[: k_top + 1]
 
 
-def chebyshev_apply(up: np.ndarray, v: np.ndarray, tol: float = 1e-15) -> np.ndarray:
-    """exp(G) v by the Chebyshev-Bessel expansion, in the dtype of up and v.
+def expm_apply_skew(up: np.ndarray, v: np.ndarray, tol: float = 1e-15) -> np.ndarray:
+    """exp(G) v for the skew banded G of ``up``, in the dtype of up and v.
 
-    The expansion stops at K = chebyshev_terms(rho, tol): the dropped terms
-    sum to at most 2 sum_{k>K} (rho/2)^k / k! ||v|| < tol ||v||, because
-    |J_k(rho)| <= (rho/2)^k / k! and ||W_k|| <= ||v|| for the normal G.
-    |J_K(rho)| comes close to that bound, so the realised error sits near
-    tol; the default keeps it at rounding level for two to four terms more.
-    K = 0 (rho = 0 among them) returns v, since then 1 - J_0(rho) <= rho^2/4
-    is below tol as well.  Real up and v give a real result and no
-    complex intermediate.
+    Real up and v, as every generator and state here has, stay in real
+    arithmetic.  The Chebyshev-Bessel expansion stops at K =
+    chebyshev_terms(rho, tol): the dropped terms sum to at most
+    2 sum_{k>K} (rho/2)^k / k! ||v|| < tol ||v||, because |J_k(rho)| <=
+    (rho/2)^k / k! and ||W_k|| <= ||v|| for the normal G.  |J_K(rho)| comes
+    close to that bound, so the realised error sits near tol; the default
+    keeps it at rounding level for two to four terms more.  K = 0 (rho = 0
+    among them) returns v, since then 1 - J_0(rho) <= rho^2/4 is below tol.
     """
     rho = skew_norm1(up)
     out = np.array(v, dtype=np.result_type(up, v, float))
@@ -136,20 +135,6 @@ def _skew_matvec(up, upc, w):
     out[0] = 0.0
     out[:-1] -= upc * w[1:]
     return out
-
-
-def _real_if_exact(a) -> np.ndarray:
-    a = np.asarray(a)
-    return a.real if np.iscomplexobj(a) and not a.imag.any() else a
-
-
-def expm_apply_skew(up: np.ndarray, v: np.ndarray, tol: float = 1e-15) -> np.ndarray:
-    """exp(G) v for the skew banded generator defined by ``up``, as complex.
-
-    ``chebyshev_apply`` runs in real arithmetic when neither up nor v has a
-    nonzero imaginary part.
-    """
-    return chebyshev_apply(_real_if_exact(up), _real_if_exact(v), tol).astype(complex)
 
 
 def boundary_mass(out: np.ndarray, tail_eps: float, what: str) -> float:

@@ -358,9 +358,7 @@ def _stats_text(config: RunConfig) -> str:
 def _squeeze_text(config: RunConfig) -> str:
     etas = default_eta_grid(step=config.eta_step)
     # small-eta rows need the roomier scan cap, not the general default
-    policy = TruncationPolicy(
-        tail_eps=config.tail_eps, n_hard_cap=SCAN_POLICY.n_hard_cap
-    )
+    policy = dataclasses.replace(SCAN_POLICY, tail_eps=config.tail_eps)
     scan = squeezing_scan([config.m], etas, policy)
     columns = {"eta": scan.eta_values, "mean_a": scan.mean_a[0],
                "mean_a2": scan.mean_a2[0], "var_x": scan.var_x[0], "var_y": scan.var_y[0]}

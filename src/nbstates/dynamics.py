@@ -83,7 +83,7 @@ def atom_passage(
     if not 0.0 < g_t <= 0.1:
         raise ValueError(f"g_t must satisfy 0 < g_t <= 0.1, got {g_t}")
     check_domain(m_photon=m_photon)
-    amps = np.array(state.amplitudes, dtype=complex)
+    amps = np.array(state.amplitudes)
     n = np.arange(state.n_max + 1, dtype=float)
     # (a1†)^m on |offset+n, n>: pure amplitude factors, no index shift
     for j in range(m_photon):

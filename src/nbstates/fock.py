@@ -1,9 +1,9 @@
 """Truncated single-mode Fock-space vectors and operators.
 
-States are dense complex amplitude arrays over photon numbers 0..n_max,
-with an explicit ``tail_bound`` tracking how much probability mass the
-truncation may have discarded.  Every operation returns a new vector;
-nothing here mutates shared state.
+States are dense float64 (real) or complex128 amplitude arrays over
+photon numbers 0..n_max, with an explicit ``tail_bound`` tracking how
+much probability mass the truncation may have discarded.  Every
+operation returns a new vector; nothing here mutates shared state.
 """
 
 from __future__ import annotations
@@ -24,10 +24,7 @@ __all__ = [
     "apply_creation",
     "apply_diag",
     "check_domain",
-    "inner_product",
     "norm",
-    "normalized",
-    "pad_to",
     "tail_mass_nbs",
 ]
 
@@ -91,27 +88,34 @@ class TruncationPolicy:
 
 @dataclass(frozen=True, eq=False)
 class FockVector:
-    """Amplitudes c_n for n = 0..n_max plus a truncation-mass bound."""
+    """Amplitudes c_n for n = 0..n_max plus a truncation-mass bound.
+
+    Real input is stored as float64 and complex input as complex128; an
+    array that already has its dtype is kept, not copied, and made read-only.
+    """
 
     amplitudes: np.ndarray
     n_max: int
     tail_bound: float = 0.0
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes)
+        amps = amps.astype(np.result_type(amps, float), copy=False)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+        check_domain(n_max=self.n_max)
         if amps.ndim != 1 or len(amps) != self.n_max + 1:
             raise ValueError(
                 f"amplitudes length {amps.shape} does not match n_max={self.n_max}"
             )
-        if self.tail_bound < 0:
-            raise ValueError("tail_bound must be nonnegative")
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
+        if not (math.isfinite(self.tail_bound) and self.tail_bound >= 0):
+            raise ValueError(f"tail_bound must be finite and nonnegative, got {self.tail_bound}")
 
     @classmethod
     def from_amplitudes(cls, amplitudes, tail_bound: float = 0.0) -> "FockVector":
-        amps = np.asarray(amplitudes, dtype=complex)
-        return cls(amps, len(amps) - 1, tail_bound)
+        return cls(amplitudes, len(amplitudes) - 1, tail_bound)
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -119,13 +123,6 @@ class FockVector:
 
 def norm(v: FockVector) -> float:
     return float(np.linalg.norm(v.amplitudes))
-
-
-def inner_product(a: FockVector, b: FockVector) -> complex:
-    """Sum of conj(a_n) * b_n.  Both vectors must share one n_max."""
-    if a.n_max != b.n_max:
-        raise ValueError(f"dimension mismatch: n_max {a.n_max} vs {b.n_max}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def _top_loss(v: FockVector) -> float:
@@ -136,7 +133,7 @@ def _top_loss(v: FockVector) -> float:
 def apply_annihilation(v: FockVector) -> FockVector:
     """Lowering operator: (a v)_n = sqrt(n+1) v_{n+1}."""
     n = np.arange(1, v.n_max + 1)
-    out = np.zeros(v.n_max + 1, dtype=complex)
+    out = np.zeros_like(v.amplitudes)
     out[:-1] = np.sqrt(n) * v.amplitudes[1:]
     return FockVector(out, v.n_max, v.tail_bound + _top_loss(v))
 
@@ -148,7 +145,7 @@ def apply_creation(v: FockVector) -> FockVector:
     (already scaled by n_max+1) is added to tail_bound.
     """
     n = np.arange(1, v.n_max + 1)
-    out = np.zeros(v.n_max + 1, dtype=complex)
+    out = np.zeros_like(v.amplitudes)
     out[1:] = np.sqrt(n) * v.amplitudes[:-1]
     return FockVector(out, v.n_max, v.tail_bound + _top_loss(v))
 
@@ -169,24 +166,6 @@ def apply_diag(v: FockVector, f) -> FockVector:
         raise ValueError(f"diagonal function non-finite at n={n_bad} on support")
     vals = np.where(np.isfinite(vals), vals, 0.0)
     return FockVector(vals * v.amplitudes, v.n_max, v.tail_bound)
-
-
-def pad_to(v: FockVector, n_max: int) -> FockVector:
-    """Zero-extend a vector to a larger basis; no-op if already there."""
-    if n_max < v.n_max:
-        raise ValueError(f"cannot pad n_max {v.n_max} down to {n_max}")
-    if n_max == v.n_max:
-        return v
-    out = np.zeros(n_max + 1, dtype=complex)
-    out[: v.n_max + 1] = v.amplitudes
-    return FockVector(out, n_max, v.tail_bound)
-
-
-def normalized(v: FockVector) -> FockVector:
-    nrm = norm(v)
-    if nrm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return FockVector(v.amplitudes / nrm, v.n_max, v.tail_bound / nrm**2)
 
 
 def tail_mass_nbs(eta: float, m: int, n_max: int) -> float:

@@ -208,8 +208,9 @@ def q_function_closed(params: NBSParams, p: PhaseSpacePoint) -> float:
 def _grid_start(state: FockVector, xs: np.ndarray, ys: np.ndarray, margin: float):
     """The zero (ys, xs) grid, and None or (c, rho_W, sqrt2 xs, sqrt2 ys, cols, rows).
 
-    c runs to the last nonzero amplitude (real when none has an imaginary
-    part); cols and rows index the points within rho_W + margin of 0.
+    c runs to the last nonzero amplitude, in the state's dtype: a real state
+    takes the engines' real path, a complex one the complex path; cols and
+    rows index the points within rho_W + margin of 0.
     """
     out = np.zeros((len(ys), len(xs)))
     c = state.amplitudes
@@ -217,7 +218,6 @@ def _grid_start(state: FockVector, xs: np.ndarray, ys: np.ndarray, margin: float
     if occupied.size == 0:
         return out, None
     c = c[: occupied[-1] + 1]
-    c = c if np.any(c.imag) else c.real
     rho_w = _support_extent(len(c) - 1)
     qx, qy = _SQRT2 * xs, _SQRT2 * ys
     cols = np.flatnonzero(np.abs(qx) <= rho_w + margin)

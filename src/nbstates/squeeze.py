@@ -42,7 +42,7 @@ __all__ = [
 
 # Small eta pushes the photon distribution far out (mean (m+1)/eta), so
 # scans get a higher basis cap than single-state work.
-SCAN_POLICY = TruncationPolicy(tail_eps=1e-12, n_hard_cap=16384)
+SCAN_POLICY = TruncationPolicy(n_hard_cap=16384)
 
 _HEISENBERG_SLACK = 1e-12
 

@@ -131,7 +131,7 @@ def orbit(xi: float, m: int, policy: TruncationPolicy, what: str):
     """
     eta = sech_squared(xi)
     n_max, tail = choose_n_max(eta, m, policy)
-    v0 = np.zeros(n_max + 1, dtype=complex)
+    v0 = np.zeros(n_max + 1)
     v0[m] = 1.0
     out = expm_apply_skew(xi * _raising_band(m, n_max), v0)
     bound = boundary_mass(out, policy.tail_eps, what)

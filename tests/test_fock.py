@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nbstates.dynamics import EvolutionSpec, atom_passage
+from nbstates.dynamics import (
+    EvolutionSpec,
+    atom_passage,
+    evolve_intensity_dependent,
+    evolve_parametric,
+    fidelity,
+)
 from nbstates.fock import (
     FockVector,
     TruncationPolicy,
@@ -14,14 +20,19 @@ from nbstates.fock import (
     apply_creation,
     apply_diag,
     check_domain,
-    inner_product,
-    normalized,
-    pad_to,
     tail_mass_nbs,
 )
 from nbstates.phasespace import GridSpec
 from nbstates.squeeze import squeezing_scan
-from nbstates.states import NBSParams, excited_geometric, nbs, number_state, two_mode_geometric
+from nbstates.states import (
+    NBSParams,
+    PairBasisVector,
+    excited_geometric,
+    nbs,
+    number_state,
+    two_mode_geometric,
+    two_mode_nbs,
+)
 from nbstates.stats import (
     factorial_moments,
     generating_function,
@@ -29,6 +40,7 @@ from nbstates.stats import (
     stats_report,
     sub_poissonian_threshold,
 )
+from nbstates.su11 import su11_displace
 
 
 # (function, arguments, the ValueError's message) for each checked entry point
@@ -97,29 +109,52 @@ def test_fock_vector_shape_checks():
         FockVector(np.zeros(4), 3, tail_bound=-1e-3)
 
 
+class TestFockVectorValidation:
+    def test_empty_amplitudes_are_refused(self):
+        with pytest.raises(ValueError, match="n_max must be a nonnegative integer, got -1"):
+            FockVector.from_amplitudes([])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_amplitudes_are_refused(self, bad):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            FockVector.from_amplitudes([1.0, bad])
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            PairBasisVector(np.array([1.0, bad]), 0, 1)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf])
+    def test_non_finite_tail_bound_is_refused(self, bound):
+        with pytest.raises(ValueError, match="tail_bound must be finite and nonnegative"):
+            FockVector.from_amplitudes([1.0], tail_bound=bound)
+
+
+class TestDtypeContract:
+    def test_real_and_integer_input_is_float64_and_complex_stays_complex(self):
+        assert FockVector.from_amplitudes([1, 0]).amplitudes.dtype == np.float64
+        assert FockVector.from_amplitudes(np.ones(2, np.float32)).amplitudes.dtype == np.float64
+        assert FockVector.from_amplitudes([1j, 0]).amplitudes.dtype == np.complex128
+
+    def test_input_of_the_kept_dtype_is_not_copied(self):
+        for amps in (np.zeros(3), np.zeros(3, complex)):
+            assert FockVector(amps, 2).amplitudes is amps
+
+    def test_every_state_family_is_real(self):
+        pair = two_mode_geometric(0.5)
+        states = [
+            nbs(NBSParams(0.5, 1)),
+            excited_geometric(0.5, 2),
+            su11_displace(0.5, 1),
+            evolve_intensity_dependent(EvolutionSpec(0.7, m=2)),
+            evolve_parametric(0.5),
+            two_mode_nbs(0.4, 3),
+            atom_passage(pair, 0.05, 2)[0],
+        ]
+        assert [v.amplitudes.dtype for v in states] == [np.float64] * len(states)
+
+
 def test_amplitudes_read_only():
     v = number_state(1, 4)
     with pytest.raises(ValueError):
         v.amplitudes[0] = 1.0
-
-
-class TestInnerProduct:
-    def test_orthonormal_basis(self):
-        assert inner_product(number_state(2, 5), number_state(2, 5)) == 1
-        assert inner_product(number_state(2, 5), number_state(3, 5)) == 0
-
-    def test_nbs_self_overlap_within_tail(self):
-        v = nbs(NBSParams(0.5, 0))
-        assert abs(inner_product(v, v) - 1) <= v.tail_bound + 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            inner_product(number_state(0, 3), number_state(0, 4))
-
-    def test_conjugate_linearity(self):
-        a = FockVector.from_amplitudes([1j, 2.0, 0.0])
-        b = FockVector.from_amplitudes([1.0, 1j, 3.0])
-        assert inner_product(a, b) == pytest.approx(-1j + 2j)
 
 
 class TestLadders:
@@ -298,20 +333,9 @@ class TestRaisingOverlapChain:
         v = lo
         for _ in range(n_up):
             v = apply_creation(v)
-        hi = pad_to(hi, v.n_max) if hi.n_max < v.n_max else hi
-        v = pad_to(v, hi.n_max) if v.n_max < hi.n_max else v
-        got = inner_product(hi, v).real
+        # both are nonnegative, so the overlap is the root of the fidelity
+        got = math.sqrt(fidelity(hi, v))
         expect = math.sqrt(
             math.factorial(m + n_up) / (math.factorial(m) * eta**n_up)
         )
         assert got == pytest.approx(expect, rel=1e-9)
-
-
-def test_pad_and_normalize_helpers():
-    v = number_state(1, 3)
-    w = pad_to(v, 6)
-    assert w.n_max == 6 and w.amplitudes[1] == 1.0
-    with pytest.raises(ValueError):
-        pad_to(w, 3)
-    u = normalized(FockVector.from_amplitudes([3.0, 4.0]))
-    assert np.linalg.norm(u.amplitudes) == pytest.approx(1.0)

@@ -12,6 +12,7 @@ from nbstates._expm import boundary_mass
 from nbstates.fock import FockVector, TruncationError
 from nbstates.states import NBSParams, nbs, number_state
 from nbstates.phasespace import (
+    _GRID_EPS,
     GridSpec,
     PhaseSpacePoint,
     grid_evaluate,
@@ -335,6 +336,26 @@ def _pointwise(reference, state, grid, s, nodes):
         else:
             want = reference.distribution(c.real, xs[i], ys[j], s)
         yield grid.values[j, i], want
+
+
+class TestRealAndComplexPaths:
+    @pytest.mark.parametrize("eta,m", [(0.5, 1), (0.8, 0), (0.1, 5)])
+    def test_complex_copy_matches_the_real_state(self, eta, m):
+        state = nbs(NBSParams(eta, m))
+        assert state.amplitudes.dtype == np.float64
+        twin = FockVector(state.amplitudes.astype(complex), state.n_max, state.tail_bound)
+        # the complex path shares every lattice and cut-off with the real one,
+        # so the two differ by rounding alone, inside the 4 eps that the
+        # engines' error terms of 1e-16 each add up to
+        bound = 4 * _GRID_EPS
+        spec = GridSpec.square(5.0, 41, 37)
+        for kind, s in (("W", None), ("S", -0.5), ("Q", None)):
+            got = grid_evaluate(twin, spec, kind, s).values
+            assert np.abs(got - grid_evaluate(state, spec, kind, s).values).max() <= bound
+        for p in (P(0.3, -0.7), P(1.2, 0.4), P(0.0, 0.0)):
+            assert abs(wigner(twin, p) - wigner(state, p)) <= bound
+            assert abs(s_distribution(twin, p, -0.3) - s_distribution(state, p, -0.3)) <= bound
+            assert abs(q_function(twin, p) - q_function(state, p)) <= bound
 
 
 class TestFourierGridEngine:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nbstates.fock import TruncationError, TruncationPolicy, inner_product, pad_to, tail_mass_nbs
+from nbstates.dynamics import fidelity
+from nbstates.fock import TruncationError, TruncationPolicy, tail_mass_nbs
 from nbstates.states import (
     NBSParams,
     PairBasisVector,
@@ -20,9 +21,8 @@ from nbstates.states import (
 from nbstates.su11 import sech_squared
 
 
-def overlap_sq(a, b):
-    hi = max(a.n_max, b.n_max)
-    return abs(inner_product(pad_to(a, hi), pad_to(b, hi))) ** 2
+def padded(v, top):
+    return np.pad(v.amplitudes, (0, top - v.n_max))
 
 
 class TestParams:
@@ -194,10 +194,9 @@ class TestRaisingIdentities:
         lo = nbs(NBSParams(eta, m), TruncationPolicy(tail_eps=1e-20))
         hi = nbs(NBSParams(eta, m + 1), TruncationPolicy(tail_eps=1e-20))
         raised = apply_creation(lo)
-        hi = pad_to(hi, raised.n_max) if hi.n_max < raised.n_max else hi
-        raised = pad_to(raised, hi.n_max)
+        top = max(hi.n_max, raised.n_max)
         scale = math.sqrt((m + 1) / eta)
-        err = np.max(np.abs(raised.amplitudes - scale * hi.amplitudes))
+        err = np.max(np.abs(padded(raised, top) - scale * padded(hi, top)))
         assert err <= 1e-10
 
     @pytest.mark.parametrize("eta", [0.3, 0.7])
@@ -209,10 +208,9 @@ class TestRaisingIdentities:
         lo = nbs(NBSParams(eta, m), TruncationPolicy(tail_eps=1e-20))
         hi = nbs(NBSParams(eta, m + 1), TruncationPolicy(tail_eps=1e-20))
         out = apply_diag(lo, lambda n: np.sqrt(np.maximum(n - m, 0)))
-        hi = pad_to(hi, out.n_max) if hi.n_max < out.n_max else hi
-        out = pad_to(out, hi.n_max)
+        top = max(hi.n_max, out.n_max)
         scale = math.sqrt((1 - eta) / eta) * math.sqrt(m + 1)
-        err = np.max(np.abs(out.amplitudes - scale * hi.amplitudes))
+        err = np.max(np.abs(padded(out, top) - scale * padded(hi, top)))
         assert err <= 1e-10
 
 
@@ -238,12 +236,12 @@ class TestExcitedGeometric:
     def test_zero_additions(self):
         a = excited_geometric(0.5, 0)
         b = geometric_state(0.5)
-        assert overlap_sq(a, b) >= 1 - 1e-12
+        assert fidelity(a, b) >= 1 - 1e-12
 
     def test_matches_nbs(self):
         a = excited_geometric(0.5, 3)
         b = nbs(NBSParams(0.5, 3))
-        assert overlap_sq(a, b) >= 1 - 1e-10
+        assert fidelity(a, b) >= 1 - 1e-10
 
     @pytest.mark.parametrize("eta,m", [(0.7022, 7), (0.3, 1), (0.9, 4)])
     def test_tail_bound_covers_the_mass_above_n_max(self, eta, m):
@@ -260,7 +258,7 @@ class TestExcitedGeometric:
         # m ~ 250 an unscaled creation product overflows
         a = excited_geometric(0.5, m)
         assert np.isfinite(a.amplitudes).all()
-        assert overlap_sq(a, nbs(NBSParams(0.5, m))) >= 1 - 1e-12
+        assert fidelity(a, nbs(NBSParams(0.5, m))) >= 1 - 1e-12
 
     def test_builds_where_the_geometric_amplitudes_underflow(self):
         # sqrt(eta) (1-eta)^(n/2) underflows past n ~ 2043 at eta = 0.5, far
@@ -271,7 +269,7 @@ class TestExcitedGeometric:
         assert np.isfinite(a.amplitudes).all()
         assert (a.n_max, a.tail_bound) == (b.n_max, b.tail_bound)
         # nbs's own amplitudes carry a squared norm of 1 + 3.6e-12 here
-        assert overlap_sq(a, b) / np.sum(b.probabilities()) >= 1 - 1e-12
+        assert fidelity(a, b) / np.sum(b.probabilities()) >= 1 - 1e-12
 
     @pytest.mark.parametrize(
         "eta,m", [(1.0, 0), (1.0, 5), (0.5, 0), (0.2, 9), (0.7, 40), (0.5, 300), (0.9, 300)]
@@ -315,10 +313,10 @@ class TestNumberState:
     def test_nbs_limit(self):
         # fidelity with |m> is eta^(m+1), so the 0.999 bound holds at m=0
         v = nbs(NBSParams(0.999, 0))
-        assert overlap_sq(v, pad_to(number_state(0, 0), v.n_max)) >= 0.999 - 1e-15
+        assert fidelity(v, number_state(0, 0)) >= 0.999 - 1e-15
         # and convergence holds for higher m as eta walks toward 1
         fids = [
-            overlap_sq(nbs(NBSParams(e, 4)), number_state(4, 200))
+            fidelity(nbs(NBSParams(e, 4)), number_state(4, 200))
             for e in (0.9, 0.99, 0.999)
         ]
         assert fids[0] < fids[1] < fids[2]
