@@ -31,7 +31,7 @@ from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
-from ._csv import csv_text
+from ._text import csv_text, json_text
 from .dynamics import EvolutionSpec, evolve_intensity_dependent, evolve_parametric, fidelity
 from .fock import DOMAINS, TruncationError, TruncationPolicy
 from .phasespace import GridSpec, grid_evaluate
@@ -260,33 +260,6 @@ def parse_config(argv) -> RunConfig:
     )
 
 
-def _json_array(values: np.ndarray, depth: int) -> str:
-    """indent=2 JSON of a float array whose opening bracket sits at ``depth``.
-
-    json's C encoder writes each row's numbers; only the layout that
-    indent=2 gives is added here.
-    """
-    inner = "\n" + "  " * (depth + 1)
-    if values.ndim == 1:
-        items = json.dumps(values.tolist())[1:-1].split(", ")
-    else:
-        items = [_json_array(row, depth + 1) for row in values]
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
-
-
-def _json_text(payload: dict, arrays: dict) -> str:
-    """json.dumps(payload | arrays, indent=2, sort_keys=True) plus a newline.
-
-    The float arrays in ``arrays`` (nonempty, 1-D or 2-D) are written by
-    ``_json_array`` and spliced in where a placeholder string stands.
-    """
-    holders = {key: "\0" + key for key in arrays}
-    text = json.dumps({**payload, **holders}, indent=2, sort_keys=True)
-    for key, values in arrays.items():
-        text = text.replace(json.dumps(holders[key]), _json_array(values, 1), 1)
-    return text + "\n"
-
-
 def _table_text(payload: dict, columns: dict, fmt: str) -> str:
     """Named float columns of one length, as JSON or as CSV.
 
@@ -294,7 +267,7 @@ def _table_text(payload: dict, columns: dict, fmt: str) -> str:
     line for a nonempty ``payload``, a "# name,..." header and the rows.
     """
     if fmt == "json":
-        return _json_text(payload, columns)
+        return json_text(payload, columns)
     lines = ["# " + " ".join(f"{k}={v}" for k, v in payload.items())] if payload else []
     head = "\n".join(lines + ["# " + ",".join(columns)]) + "\n"
     return csv_text(np.column_stack(list(columns.values())), head)
@@ -303,7 +276,7 @@ def _table_text(payload: dict, columns: dict, fmt: str) -> str:
 def _grid_text(grid, fmt: str) -> str:
     if fmt == "json":
         payload = {k: v for k, v in vars(grid).items() if k != "values"}
-        return _json_text(payload, {"values": grid.values})
+        return json_text(payload, {"values": grid.values})
     window = [[grid.x_min, grid.x_max, grid.y_min, grid.y_max, grid.nx, grid.ny]]
     return csv_text(grid.values, "# " + csv_text(window))
 

@@ -168,6 +168,9 @@ def apply_diag(v: FockVector, f) -> FockVector:
     return FockVector(vals * v.amplitudes, v.n_max, v.tail_bound)
 
 
+_LOOP_TERMS = 32  # J up to which tail_mass_nbs sums in a plain loop
+
+
 def tail_mass_nbs(eta: float, m: int, n_max: int) -> float:
     """Probability mass of the negative binomial distribution above n_max.
 
@@ -180,17 +183,27 @@ def tail_mass_nbs(eta: float, m: int, n_max: int) -> float:
     delta = u (4 |n0 log1p(-eta)| + J (J + 5) (b + 1) + J + 9), and within
     2^-1074 per term below the normal range.  Raised by both and capped at
     1, the sum is an upper bound within a relative delta (< 2e-9, m <= 500).
+    For J <= _LOOP_TERMS the same steps run as a plain loop, whose final
+    sum in order is the worst case that delta covers; numpy's call
+    overhead costs more than so few terms.
     """
     check_domain(eta=eta, m=m, n_max=n_max)
     if eta == 1.0:
         return 0.0 if n_max >= m else 1.0
     n0 = n_max + 1
     jmax = min(m, n0)
-    j = np.arange(1.0, jmax + 1.0)
     log_q = math.log1p(-eta)
     start = n0 * log_q
-    steps = np.log((n0 - j + 1.0) / j) + (math.log(eta) - log_q)
-    total = float(np.exp(start + np.concatenate(([0.0], np.cumsum(steps)))).sum())
+    shift = math.log(eta) - log_q
+    if jmax <= _LOOP_TERMS:
+        partial, total = 0.0, math.exp(start)
+        for j in range(1, jmax + 1):
+            partial += math.log((n0 - j + 1.0) / j) + shift
+            total += math.exp(start + partial)
+    else:
+        j = np.arange(1.0, jmax + 1.0)
+        steps = np.log((n0 - j + 1.0) / j) + shift
+        total = float(np.exp(start + np.concatenate(([0.0], np.cumsum(steps)))).sum())
     b = math.log(n0) - math.log(eta) - log_q
     delta = 2.0**-53 * (4.0 * abs(start) + jmax * (jmax + 5.0) * (b + 1.0) + jmax + 9.0)
     return min(1.0, total * math.exp(delta) + (jmax + 2) * math.ulp(0.0))

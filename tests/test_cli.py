@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nbstates import cli
-from nbstates._csv import csv_text
+from nbstates._text import csv_text, json_text
 from nbstates.cli import CliError, main, parse_config, read_grid_csv, run
 from nbstates.squeeze import default_eta_grid, squeezing_scan
 from nbstates.stats import stats_report
@@ -250,6 +250,21 @@ def _percent_17g(table):
     return "\n".join(",".join("%.17g" % (float(v) + 0.0) for v in row) for row in table) + "\n"
 
 
+def _json_dumps(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _random_doubles(seed, size, wide):
+    """Random 64-bit patterns; unless ``wide``, with the binary exponents of
+    1e-270 .. 1e17, the vectorised range."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, size, dtype=np.uint64, endpoint=False)
+    if not wide:
+        exponent = rng.integers(126, 1080, bits.size).astype(np.uint64)
+        bits = bits & ~np.uint64(0x7FF << 52) | exponent << np.uint64(52)
+    return bits.view(np.float64)
+
+
 class TestBulkWriters:
     """The bulk writers give the bytes of the plain per-value ones."""
 
@@ -273,13 +288,44 @@ class TestBulkWriters:
            cols=st.integers(1, 9), wide=st.booleans())
     def test_csv_text_is_percent_17g(self, seed, rows, cols, wide):
         # up to 3,600 values, so slab boundaries fall inside rows
-        rng = np.random.default_rng(seed)
-        bits = rng.integers(0, 2**64, rows * cols, dtype=np.uint64, endpoint=False)
-        if not wide:  # binary exponents of 1e-270 .. 1e17, the vectorised range
-            exponent = rng.integers(126, 1080, bits.size).astype(np.uint64)
-            bits = bits & ~np.uint64(0x7FF << 52) | exponent << np.uint64(52)
-        table = bits.view(np.float64).reshape(rows, cols)
+        table = _random_doubles(seed, rows * cols, wide).reshape(rows, cols)
         assert csv_text(table) == _percent_17g(table)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 400),
+           cols=st.integers(1, 9), wide=st.booleans(), flat=st.booleans())
+    def test_json_text_is_json_dumps(self, seed, rows, cols, wide, flat):
+        # up to 3,600 values, so slab boundaries fall inside rows
+        table = _random_doubles(seed, rows * cols, wide).reshape(rows, cols)
+        values = table.ravel() if flat else table
+        want = _json_dumps({"m": 3, "values": values.tolist(), "x_min": -0.5})
+        assert json_text({"x_min": -0.5, "m": 3}, {"values": values}) == want
+
+    def test_json_text_edges(self):
+        up = lambda v: np.nextafter(v, math.inf)  # noqa: E731
+        down = lambda v: np.nextafter(v, -math.inf)  # noqa: E731
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        values = np.concatenate([[
+            # 16-digit ties, which repr rounds half-even, and a 15-digit one
+            734637933487379.25, 734637933487379.75, 100000000000000.5,
+            # 1, 16 and 17 digits; fixed notation for 1e-4 <= |x| < 1e16
+            1 / 3, 0.1, 0.3, 0.1 + 0.2, down(1.0), 9999999999999998.0, down(1e16),
+            1e16, up(1e16), down(1e17), 1e17, 1e23,
+            down(1e-4), 1e-4, up(1e-4), down(1e-5), 1e-5,
+            # integral values take ".0"
+            1.0, 123.0, 2.0**52 + 1, 2.0**53 + 2,
+            # the doubles nearest these lie below them, and their digits carry to 10^17
+            1e-14, 1e-79, 1e-243,
+            0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.nan, math.inf, -math.inf,
+            down(1e-270), 1e-270, up(1e-270), 1e-300,
+            # 2^-808: below a power of two the nearest 16-digit decimal misses
+            # and the next one up is repr's
+            2.0**-808, -(2.0**-808),
+        ], powers, down(powers), up(powers)])
+        values = np.concatenate([values, -values])
+        assert json_text({}, {"v": values}) == _json_dumps({"v": values.tolist()})
+        table = values[: values.size // 7 * 7].reshape(-1, 7)
+        assert json_text({}, {"v": table}) == _json_dumps({"v": table.tolist()})
 
     def test_csv_text_edges(self):
         up = lambda v: np.nextafter(v, math.inf)  # noqa: E731

@@ -290,6 +290,47 @@ class TestTailMass:
         assert want <= got <= want * (1 + 1e-8) + floor
 
 
+    @staticmethod
+    def _delta(eta, m, n_max):
+        # the docstring's relative rounding bound
+        n0, log_q = n_max + 1, math.log1p(-eta)
+        j, b = min(m, n0), math.log(n0) - math.log(eta) - log_q
+        return 2.0**-53 * (4.0 * abs(n0 * log_q) + j * (j + 5.0) * (b + 1.0) + j + 9.0)
+
+    @settings(max_examples=80)
+    @given(
+        eta=st.floats(1e-3, 1.0, exclude_max=True),
+        m=st.sampled_from([0, 1, 7, 31, 32, 33, 34, 40]),
+        n_max=st.integers(0, 3000),
+    )
+    def test_loop_and_numpy_sums_agree(self, eta, m, n_max):
+        # m on both sides of the switch, each sum forced through both paths
+        import nbstates.fock as fock
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fock, "_LOOP_TERMS", 10**9)
+            loop = tail_mass_nbs(eta, m, n_max)
+            patch.setattr(fock, "_LOOP_TERMS", -1)
+            vectorised = tail_mass_nbs(eta, m, n_max)
+        floor = (min(m, n_max + 1) + 2) * math.ulp(0.0)
+        assert abs(loop - vectorised) <= 2 * self._delta(eta, m, n_max) * loop + floor
+
+    @pytest.mark.parametrize("eta, m, n_max", [
+        (0.3, 4, 10), (0.05, 31, 400), (0.9, 32, 40), (0.5, 0, 1050),
+    ])
+    def test_loop_is_an_upper_bound(self, eta, m, n_max):
+        import nbstates.fock as fock
+
+        assert min(m, n_max + 1) <= fock._LOOP_TERMS
+        n0, e = n_max + 1, mpmath.mpf(eta)
+        with mpmath.workdps(40):
+            want = mpmath.fsum(
+                mpmath.binomial(n0, j) * e**j * (1 - e) ** (n0 - j) for j in range(min(m, n0) + 1)
+            )
+        got = tail_mass_nbs(eta, m, n_max)
+        floor = (min(m, n0) + 2) * math.ulp(0.0)
+        assert want <= got <= want * mpmath.exp(2 * self._delta(eta, m, n_max)) + floor
+
     @settings(max_examples=60)
     @given(
         k=st.integers(0, 3),

@@ -47,6 +47,10 @@ GOLDEN = (
     "wigner --eta 0.5 --m 1 --x-min=-1e-300 --x-max=1e-300 --y-min=-1e-200 --y-max=1e-200"
     " --nx 3 --ny 3",
     "wigner --eta 0.5 --m 1 --x-min=-1e17 --x-max=1e17 --nx 3 --ny 3",
+    # the same windows through the JSON writer
+    "wigner --eta 0.5 --m 1 --x-min=-1e-300 --x-max=1e-300 --y-min=-1e-200 --y-max=1e-200"
+    " --nx 3 --ny 3 --format json",
+    "wigner --eta 0.5 --m 1 --x-min=-1e17 --x-max=1e17 --nx 3 --ny 3 --format json",
     # the numeric Mandel Q at the benchmark's smallest eta and largest m, at a
     # loose tail target, and at an eta whose k = 2 basis just fits the cap
     "stats --eta 0.05 --m 24",
