@@ -64,7 +64,7 @@ def evolve_parametric(
     policy = policy or TruncationPolicy()
     check_domain(chi_t=chi_t)
     out, bound, eta = orbit(chi_t, 0, policy, f"chi_t={chi_t}")
-    return PairBasisVector(out, 0, len(out) - 1, bound, eta)
+    return PairBasisVector(out, 0, tail_bound=bound, eta=eta)
 
 
 def atom_passage(
@@ -80,9 +80,7 @@ def atom_passage(
     NB(eta, o) state is two-mode NB(eta, o + m_photon), whose mass above
     the basis is its tail_bound; a state of no known family gets 1.0.
     """
-    if not 0.0 < g_t <= 0.1:
-        raise ValueError(f"g_t must satisfy 0 < g_t <= 0.1, got {g_t}")
-    check_domain(m_photon=m_photon)
+    check_domain(g_t=g_t, m_photon=m_photon)
     amps = np.array(state.amplitudes)
     n = np.arange(state.n_max + 1, dtype=float)
     # (a1†)^m on |offset+n, n>: pure amplitude factors, no index shift
@@ -96,7 +94,7 @@ def atom_passage(
         tail = 1.0
     else:
         tail = tail_mass_nbs(state.eta, offset, offset + state.n_max)
-    ground = PairBasisVector(amps / math.sqrt(nrm2), offset, state.n_max, tail, state.eta)
+    ground = PairBasisVector(amps / math.sqrt(nrm2), offset, tail_bound=tail, eta=state.eta)
     excited_weight = 1.0 / (1.0 + g_t * g_t * nrm2)
     return ground, excited_weight
 

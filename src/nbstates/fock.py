@@ -9,7 +9,7 @@ operation returns a new vector; nothing here mutates shared state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from operator import index
 
 import numpy as np
@@ -36,11 +36,14 @@ DOMAINS = {
     "eta": (lambda v: 0.0 < v <= 1.0, "be in (0, 1]"),
     "chi_t": (lambda v: math.isfinite(v) and v >= 0.0, "be a finite nonnegative real"),
     "s": (lambda v: -1.0 <= v <= 0.0, "lie in [-1, 0]"),
-    "lam": (math.isfinite, "be finite"),
+    **dict.fromkeys(("lam", "xi"), (math.isfinite, "be finite")),
     **dict.fromkeys(("m", "offset_m", "n_max"),
                     (lambda v: index(v) >= 0, "be a nonnegative integer")),
     **dict.fromkeys(("nx", "ny"), (lambda v: index(v) >= 2, "be an integer >= 2")),
-    "m_photon": (lambda v: index(v) >= 1, "be a positive integer"),
+    **dict.fromkeys(("m_photon", "n_hard_cap"),
+                    (lambda v: index(v) >= 1, "be a positive integer")),
+    "tail_eps": (lambda v: 0.0 < v < 1.0, "be in (0, 1)"),
+    "g_t": (lambda v: 0.0 < v <= 0.1, "satisfy 0 < g_t <= 0.1"),
 }
 
 
@@ -80,22 +83,20 @@ class TruncationPolicy:
     n_hard_cap: int = 4096
 
     def __post_init__(self):
-        if not 0.0 < self.tail_eps < 1.0:
-            raise ValueError(f"tail_eps must be in (0, 1), got {self.tail_eps}")
-        if self.n_hard_cap < 1:
-            raise ValueError(f"n_hard_cap must be >= 1, got {self.n_hard_cap}")
+        check_domain(tail_eps=self.tail_eps, n_hard_cap=self.n_hard_cap)
 
 
 @dataclass(frozen=True, eq=False)
 class FockVector:
     """Amplitudes c_n for n = 0..n_max plus a truncation-mass bound.
 
-    Real input is stored as float64 and complex input as complex128; an
-    array that already has its dtype is kept, not copied, and made read-only.
+    n_max is len(amplitudes) - 1.  Real input is stored as float64 and
+    complex input as complex128; an array that already has its dtype is
+    kept, not copied, and made read-only.  tail_bound is keyword-only.
     """
 
     amplitudes: np.ndarray
-    n_max: int
+    _: KW_ONLY
     tail_bound: float = 0.0
 
     def __post_init__(self):
@@ -103,19 +104,17 @@ class FockVector:
         amps = amps.astype(np.result_type(amps, float), copy=False)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+        if amps.ndim != 1:
+            raise ValueError(f"amplitudes must be a 1-D array, got shape {amps.shape}")
         check_domain(n_max=self.n_max)
-        if amps.ndim != 1 or len(amps) != self.n_max + 1:
-            raise ValueError(
-                f"amplitudes length {amps.shape} does not match n_max={self.n_max}"
-            )
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         if not (math.isfinite(self.tail_bound) and self.tail_bound >= 0):
             raise ValueError(f"tail_bound must be finite and nonnegative, got {self.tail_bound}")
 
-    @classmethod
-    def from_amplitudes(cls, amplitudes, tail_bound: float = 0.0) -> "FockVector":
-        return cls(amplitudes, len(amplitudes) - 1, tail_bound)
+    @property
+    def n_max(self) -> int:
+        return len(self.amplitudes) - 1
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -135,7 +134,7 @@ def apply_annihilation(v: FockVector) -> FockVector:
     n = np.arange(1, v.n_max + 1)
     out = np.zeros_like(v.amplitudes)
     out[:-1] = np.sqrt(n) * v.amplitudes[1:]
-    return FockVector(out, v.n_max, v.tail_bound + _top_loss(v))
+    return FockVector(out, tail_bound=v.tail_bound + _top_loss(v))
 
 
 def apply_creation(v: FockVector) -> FockVector:
@@ -147,7 +146,7 @@ def apply_creation(v: FockVector) -> FockVector:
     n = np.arange(1, v.n_max + 1)
     out = np.zeros_like(v.amplitudes)
     out[1:] = np.sqrt(n) * v.amplitudes[:-1]
-    return FockVector(out, v.n_max, v.tail_bound + _top_loss(v))
+    return FockVector(out, tail_bound=v.tail_bound + _top_loss(v))
 
 
 def apply_diag(v: FockVector, f) -> FockVector:
@@ -165,7 +164,7 @@ def apply_diag(v: FockVector, f) -> FockVector:
         n_bad = int(np.argmax(bad))
         raise ValueError(f"diagonal function non-finite at n={n_bad} on support")
     vals = np.where(np.isfinite(vals), vals, 0.0)
-    return FockVector(vals * v.amplitudes, v.n_max, v.tail_bound)
+    return FockVector(vals * v.amplitudes, tail_bound=v.tail_bound)
 
 
 _LOOP_TERMS = 32  # J up to which tail_mass_nbs sums in a plain loop

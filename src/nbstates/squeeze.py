@@ -31,6 +31,7 @@ __all__ = [
     "SCAN_POLICY",
     "SqueezeScan",
     "VarianceSample",
+    "default_eta_grid",
     "field_moments",
     "quadrature_variances",
     "refine_region_edge",

@@ -8,7 +8,7 @@ phase convention is unobservable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -41,23 +41,25 @@ class NBSParams:
 class PairBasisVector:
     """Two-mode state on the span of |offset_m + n, n> for n = 0..n_max.
 
-    eta is that of the two-mode NB(eta, offset_m) family the state belongs
-    to, where its constructor knows it, and None otherwise.
+    n_max is len(amplitudes) - 1.  eta is that of the two-mode
+    NB(eta, offset_m) family the state belongs to, where its constructor
+    knows it, and None otherwise.  tail_bound and eta are keyword-only.
     """
 
     amplitudes: np.ndarray
     offset_m: int
-    n_max: int
+    _: KW_ONLY
     tail_bound: float = 0.0
     eta: float | None = None
 
     def __post_init__(self):
-        # amplitudes, n_max and tail_bound are checked as a FockVector's
+        # amplitudes and tail_bound are checked as a FockVector's
         FockVector.__post_init__(self)
         check_domain(offset_m=self.offset_m)
         if self.eta is not None:
             check_domain(eta=self.eta)
 
+    n_max = FockVector.n_max
     probabilities = FockVector.probabilities
 
 
@@ -144,7 +146,7 @@ def nbs(params: NBSParams, policy: TruncationPolicy | None = None) -> FockVector
     """
     policy = policy or TruncationPolicy()
     n_max, tail = choose_n_max(params.eta, params.m, policy)
-    return FockVector(nbs_amplitudes(params.eta, params.m, n_max), n_max, tail)
+    return FockVector(nbs_amplitudes(params.eta, params.m, n_max), tail_bound=tail)
 
 
 def geometric_state(eta: float, policy: TruncationPolicy | None = None) -> FockVector:
@@ -176,17 +178,17 @@ def excited_geometric(
         logs[1:] = logs[:-1] + half_log_n
         logs[0] = -np.inf
     amps = np.exp(logs - logs.max())
-    return FockVector(amps / np.linalg.norm(amps), n_max, tail)
+    return FockVector(amps / np.linalg.norm(amps), tail_bound=tail)
 
 
 def number_state(m: int, n_max: int) -> FockVector:
     """Basis ket |m> on a basis of size n_max + 1."""
-    check_domain(m=m)
+    check_domain(m=m, n_max=n_max)
     if m > n_max:
         raise ValueError(f"need 0 <= m <= n_max, got m={m}, n_max={n_max}")
     c = np.zeros(n_max + 1)
     c[m] = 1.0
-    return FockVector(c, n_max)
+    return FockVector(c)
 
 
 def two_mode_geometric(
@@ -207,4 +209,4 @@ def two_mode_nbs(
     """
     v = nbs(NBSParams(eta, m), policy)
     amps = v.amplitudes[m:]
-    return PairBasisVector(amps, m, v.n_max - m, v.tail_bound, eta)
+    return PairBasisVector(amps, m, tail_bound=v.tail_bound, eta=eta)

@@ -132,7 +132,7 @@ def stats_report(
         q_numeric = 0.0
     else:
         n_max, tail = choose_n_max(eta, m, policy, k=2)
-        q_numeric = mandel_q_numeric(FockVector(nbs_amplitudes(eta, m, n_max), n_max, tail))
+        q_numeric = mandel_q_numeric(FockVector(nbs_amplitudes(eta, m, n_max), tail_bound=tail))
     g_values = {lam: generating_function(lam, eta, m) for lam in lambdas}
     return StatsReport(
         eta=eta,

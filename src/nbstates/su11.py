@@ -45,6 +45,7 @@ def sech_squared(xi: float) -> float:
     full relative precision until the value underflows (|xi| past ~372);
     there it raises TruncationError, since no finite basis holds the state.
     """
+    check_domain(xi=xi)
     e = math.exp(-abs(xi))
     eta = (2.0 * e / (1.0 + e * e)) ** 2
     if eta == 0.0:
@@ -115,10 +116,8 @@ def su11_displace(
     """
     policy = policy or TruncationPolicy()
     check_domain(m=m)
-    if not math.isfinite(xi):
-        raise ValueError(f"xi must be finite, got {xi}")
     out, bound, _ = orbit(xi, m, policy, f"xi={xi}")
-    return FockVector(out, len(out) - 1, bound)
+    return FockVector(out, tail_bound=bound)
 
 
 def orbit(xi: float, m: int, policy: TruncationPolicy, what: str):

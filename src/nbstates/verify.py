@@ -125,7 +125,7 @@ def _interior_vector(m: int, n_max: int, seed: int):
     k = n_max - 2 - m
     amps[m : n_max - 2] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     amps /= np.linalg.norm(amps)
-    return FockVector(amps, n_max)
+    return FockVector(amps)
 
 
 def criterion_su11_algebra() -> CheckResult:

@@ -165,7 +165,7 @@ class TestAtomPassage:
 
     def test_state_of_no_family_gets_the_trivial_bound(self):
         base = two_mode_geometric(0.5)
-        plain = PairBasisVector(base.amplitudes, 0, base.n_max, base.tail_bound)
+        plain = PairBasisVector(base.amplitudes, 0, tail_bound=base.tail_bound)
         ground, _ = atom_passage(plain, 0.05, 2)
         assert plain.eta is None and ground.tail_bound == 1.0
         assert np.array_equal(ground.amplitudes, atom_passage(base, 0.05, 2)[0].amplitudes)

@@ -1,9 +1,11 @@
 """Every name a module lists in ``__all__`` exists, so no export outlives its code,
-and every name a module imports is used there or exported."""
+every name a module imports is used there or exported, and the package
+exports exactly what its library modules do."""
 
 import ast
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,23 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+# the modules whose __all__ the package star-imports
+LIBRARY = ["dynamics", "fock", "phasespace", "squeeze", "states", "stats", "su11"]
+
+
+def _library_exports():
+    return [n for m in LIBRARY for n in importlib.import_module(f"nbstates.{m}").__all__]
+
+
+def test_library_exports_are_disjoint():
+    # so no star import in the package shadows another module's name
+    assert [n for n, k in Counter(_library_exports()).items() if k > 1] == []
+
+
+def test_package_exports_the_union_of_the_library_exports():
+    assert nbstates.__all__ == sorted(_library_exports())
 
 
 def _unused_imports(path):

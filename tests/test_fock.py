@@ -40,7 +40,7 @@ from nbstates.stats import (
     stats_report,
     sub_poissonian_threshold,
 )
-from nbstates.su11 import su11_displace
+from nbstates.su11 import sech_squared, su11_displace
 
 
 # (function, arguments, the ValueError's message) for each checked entry point
@@ -59,10 +59,16 @@ _OUTSIDE = [
     (squeezing_scan, ([1], [0.5, 1.5]), "eta must be in (0, 1], got 1.5"),
     (excited_geometric, (0.5, 1.5), "m must be a nonnegative integer, got 1.5"),
     (number_state, (1.5, 4), "m must be a nonnegative integer, got 1.5"),
+    (number_state, (1, 2.5), "n_max must be a nonnegative integer, got 2.5"),
     (NBSParams, (0.5, 2.0), "m must be a nonnegative integer, got 2.0"),
     (GridSpec, (-1.0, 1.0, -1.0, 1.0, 2.5), "nx must be an integer >= 2, got 2.5"),
     (EvolutionSpec, (math.nan,), "chi_t must be a finite nonnegative real, got nan"),
     (atom_passage, (two_mode_geometric(0.5), 0.05, 1.0), "m_photon must be a positive integer, got 1.0"),
+    (atom_passage, (two_mode_geometric(0.5), 0.2, 1), "g_t must satisfy 0 < g_t <= 0.1, got 0.2"),
+    (sech_squared, (math.nan,), "xi must be finite, got nan"),
+    (su11_displace, (math.inf, 1), "xi must be finite, got inf"),
+    (TruncationPolicy, (1e-12, 100.5), "n_hard_cap must be a positive integer, got 100.5"),
+    (TruncationPolicy, (1.5,), "tail_eps must be in (0, 1), got 1.5"),
 ]
 
 
@@ -104,38 +110,38 @@ def test_policy_validation():
 
 def test_fock_vector_shape_checks():
     with pytest.raises(ValueError):
-        FockVector(np.zeros(3), 3)
+        FockVector(np.zeros((3, 1)))
     with pytest.raises(ValueError):
-        FockVector(np.zeros(4), 3, tail_bound=-1e-3)
+        FockVector(np.zeros(4), tail_bound=-1e-3)
 
 
 class TestFockVectorValidation:
     def test_empty_amplitudes_are_refused(self):
         with pytest.raises(ValueError, match="n_max must be a nonnegative integer, got -1"):
-            FockVector.from_amplitudes([])
+            FockVector([])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_non_finite_amplitudes_are_refused(self, bad):
         with pytest.raises(ValueError, match="amplitudes must be finite"):
-            FockVector.from_amplitudes([1.0, bad])
+            FockVector([1.0, bad])
         with pytest.raises(ValueError, match="amplitudes must be finite"):
-            PairBasisVector(np.array([1.0, bad]), 0, 1)
+            PairBasisVector(np.array([1.0, bad]), 0)
 
     @pytest.mark.parametrize("bound", [math.nan, math.inf])
     def test_non_finite_tail_bound_is_refused(self, bound):
         with pytest.raises(ValueError, match="tail_bound must be finite and nonnegative"):
-            FockVector.from_amplitudes([1.0], tail_bound=bound)
+            FockVector([1.0], tail_bound=bound)
 
 
 class TestDtypeContract:
     def test_real_and_integer_input_is_float64_and_complex_stays_complex(self):
-        assert FockVector.from_amplitudes([1, 0]).amplitudes.dtype == np.float64
-        assert FockVector.from_amplitudes(np.ones(2, np.float32)).amplitudes.dtype == np.float64
-        assert FockVector.from_amplitudes([1j, 0]).amplitudes.dtype == np.complex128
+        assert FockVector([1, 0]).amplitudes.dtype == np.float64
+        assert FockVector(np.ones(2, np.float32)).amplitudes.dtype == np.float64
+        assert FockVector([1j, 0]).amplitudes.dtype == np.complex128
 
     def test_input_of_the_kept_dtype_is_not_copied(self):
         for amps in (np.zeros(3), np.zeros(3, complex)):
-            assert FockVector(amps, 2).amplitudes is amps
+            assert FockVector(amps).amplitudes is amps
 
     def test_every_state_family_is_real(self):
         pair = two_mode_geometric(0.5)
@@ -202,7 +208,7 @@ class TestLadders:
         rng = np.random.default_rng(11)
         amps = rng.normal(size=12) + 1j * rng.normal(size=12)
         amps[-2:] = 0.0  # keep support away from the boundary
-        v = FockVector.from_amplitudes(amps)
+        v = FockVector(amps)
         lhs = apply_annihilation(apply_creation(v))
         rhs = apply_creation(apply_annihilation(v))
         diff = lhs.amplitudes - rhs.amplitudes - v.amplitudes

@@ -163,7 +163,7 @@ class TestWigner:
             x = mpmath.mpf(100)
             exact = 2 / mpmath.pi * mpmath.exp(-2 * x) * (
                 1 - mpmath.mpf(1e-7) + mpmath.mpf(1e-7) * mpmath.laguerre(100, 0, 4 * x))
-        got = wigner(FockVector.from_amplitudes(amps), P(10.0, 0.0))
+        got = wigner(FockVector(amps), P(10.0, 0.0))
         assert abs(got - float(exact)) < 1e-10
 
     def test_boundary_mass_is_a_truncation_error(self):
@@ -343,7 +343,7 @@ class TestRealAndComplexPaths:
     def test_complex_copy_matches_the_real_state(self, eta, m):
         state = nbs(NBSParams(eta, m))
         assert state.amplitudes.dtype == np.float64
-        twin = FockVector(state.amplitudes.astype(complex), state.n_max, state.tail_bound)
+        twin = FockVector(state.amplitudes.astype(complex), tail_bound=state.tail_bound)
         # the complex path shares every lattice and cut-off with the real one,
         # so the two differ by rounding alone, inside the 4 eps that the
         # engines' error terms of 1e-16 each add up to
@@ -392,7 +392,7 @@ class TestFourierGridEngine:
 
     @pytest.mark.parametrize("s", [0.0, -1e-9, -0.3, -1.0])
     def test_complex_amplitudes_against_pointwise(self, s, reference):
-        state = FockVector.from_amplitudes(dense_displacement(1 + 0.5j, 40)[:, 2])
+        state = FockVector(dense_displacement(1 + 0.5j, 40)[:, 2])
         spec = GridSpec(-2.5, 3.0, -1.0, 2.2, 9, 6)
         g = grid_evaluate(state, spec, "W" if s == 0.0 else "S", s)
         nodes = [(i, j) for i in range(9) for j in range(6)]
@@ -520,7 +520,7 @@ class TestGaborQGrid:
                         lambda x, y: _q_mp(state.amplitudes, x, y), nodes)
 
     def test_complex_amplitudes(self):
-        state = FockVector.from_amplitudes(dense_displacement(1 + 0.5j, 40)[:, 2])
+        state = FockVector(dense_displacement(1 + 0.5j, 40)[:, 2])
         _q_grid_against(state, GridSpec(-2.5, 3.0, -1.0, 2.2, 9, 6),
                         lambda x, y: _q_mp(state.amplitudes, x, y))
 

@@ -362,4 +362,4 @@ class TestTwoMode:
     @pytest.mark.parametrize("eta", [0.0, -0.2, 1.5, math.nan])
     def test_family_eta_validated(self, eta):
         with pytest.raises(ValueError, match="eta must be in"):
-            PairBasisVector(np.ones(3), 0, 2, eta=eta)
+            PairBasisVector(np.ones(3), 0, eta=eta)

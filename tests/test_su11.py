@@ -38,7 +38,7 @@ def interior_vector(m, n_max, seed):
     k = n_max - 3 - m + 1
     amps[m : n_max - 2] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     amps /= np.linalg.norm(amps)
-    return FockVector(amps, n_max)
+    return FockVector(amps)
 
 
 class TestAlgebraAction:
