@@ -10,11 +10,14 @@ bands.  For a skew G, exp(G) v is the Chebyshev-Bessel expansion
 
 with rho = ||G||_1, which bounds the spectral radius.  W_k is
 i^k T_k(G / (i rho)) v, so ||W_k|| <= ||v|| for the normal G, and
-|J_k(rho)| <= (rho/2)^k / k! bounds the dropped terms a priori, without
-ever forming a matrix.  That takes about 1.36 rho matvecs where scaled
-Taylor substeps take about 3.5 rho (Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33, 488 (2011)).  The J_k come from Miller's backward
-recurrence, and real G and v stay in real arithmetic.
+stopping at K drops at most 2 sum_{k>K} |J_k(rho)| ||v||, without ever
+forming a matrix.  One pass of Miller's backward recurrence gives
+J_0..J_top, past the order where |J_k(rho)| <= (rho/2)^k / k! falls
+below 1e-40, and K is the smallest count whose tail
+(2 sum_{K<k<=top} |J_k| + 1e-40) ||v|| is below tol ||v||.  That takes
+about rho + 11 rho^(1/3) matvecs where scaled Taylor substeps take
+about 3.5 rho (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
+Real G and v stay in real arithmetic.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .fock import TruncationError
 __all__ = [
     "bessel_j",
     "boundary_mass",
+    "chebyshev_coefficients",
     "chebyshev_terms",
     "expm_apply_skew",
     "expm_apply_skew_batch",
@@ -58,16 +62,16 @@ def chebyshev_terms(rho: float, tol: float) -> int:
     return int(np.argmax(log_tails[1:] < log_tol))
 
 
-def bessel_j(rho: float, k_top: int) -> np.ndarray:
-    """J_0(rho), ..., J_k_top(rho) by Miller's backward recurrence.
+def bessel_j(rho: float, top: int) -> np.ndarray:
+    """J_0(rho), ..., J_top(rho) by Miller's backward recurrence.
 
-    J_{k-1} = (2k/rho) J_k - J_{k+1} runs down from a start past k_top
-    where J is below 1e-40.  Before a step would take the values past
-    1e250 they are divided by the current one, so nothing overflows for
-    any rho with 2/rho finite.  The result is normalised by
+    J_{k-1} = (2k/rho) J_k - J_{k+1} runs down from J_top = 1, J_{top+1}
+    = 0, so top must lie past the order at which J falls below 1e-40, as
+    chebyshev_terms(rho, 1e-40) + 1 does.  Before a step would take the
+    values past 1e250 they are divided by the current one, so nothing
+    overflows for any rho with 2/rho finite.  The result is normalised by
     J_0 + 2 sum_k J_2k = 1.
     """
-    top = max(k_top, chebyshev_terms(rho, _BESSEL_START_EPS)) + 1
     f = np.zeros(top + 1)
     two_over_rho = 2.0 / rho
     above, here = 0.0, 1.0
@@ -81,43 +85,69 @@ def bessel_j(rho: float, k_top: int) -> np.ndarray:
         above, here = here, gain * here - above
         f[k - 1] = here
     f /= f[0] + 2.0 * f[2::2].sum()
-    return f[: k_top + 1]
+    return f
 
 
-def expm_apply_skew(up: np.ndarray, v: np.ndarray, tol: float = 1e-15) -> np.ndarray:
+def chebyshev_coefficients(rho: float, tol: float) -> np.ndarray:
+    """J_0(rho), ..., J_K(rho), K the realised term count for tol.
+
+    One ``bessel_j`` pass gives J_0..J_top, top = chebyshev_terms(rho,
+    1e-40) + 1, and K is the smallest count with 2 sum_{K<k<=top} |J_k|
+    + 1e-40 below tol (top if none is).  The 1e-40 bounds 2 sum_{k>top} |J_k|,
+    since |J_k(rho)| <= (rho/2)^k / k!.  The computed J stand for the
+    true ones: past k = rho they decay as the minimal solution of the
+    recurrence, which the backward recurrence keeps to a small relative
+    error.  Up to rounding K is at most chebyshev_terms(rho, tol), whose
+    bound exceeds every |J_k|, and past rho of a few units it is smaller:
+    24,892 against 33,430 at rho = 24,573.
+    """
+    j = bessel_j(rho, chebyshev_terms(rho, _BESSEL_START_EPS) + 1)
+    # tail[k] = 2 sum_{k<i<=top} |J_i| + 1e-40, the bound on the terms after k
+    tail = 2.0 * np.cumsum(np.abs(j[:0:-1]))[::-1] + _BESSEL_START_EPS
+    met = np.flatnonzero(tail < tol)
+    k_top = int(met[0]) if met.size else len(j) - 1
+    return j[: k_top + 1]
+
+
+def expm_apply_skew(up: np.ndarray, v: np.ndarray, tol: float = 1e-16) -> np.ndarray:
     """exp(G) v for the skew banded G of ``up``, in the dtype of up and v.
 
     Real up and v, as every generator and state here has, stay in real
-    arithmetic.  The Chebyshev-Bessel expansion stops at K =
-    chebyshev_terms(rho, tol): the dropped terms sum to at most
-    2 sum_{k>K} (rho/2)^k / k! ||v|| < tol ||v||, because |J_k(rho)| <=
-    (rho/2)^k / k! and ||W_k|| <= ||v|| for the normal G.  |J_K(rho)| comes
-    close to that bound, so the realised error sits near tol; the default
-    keeps it at rounding level for two to four terms more.  K = 0 (rho = 0
-    among them) returns v, since then 1 - J_0(rho) <= rho^2/4 is below tol.
+    arithmetic.  The Chebyshev-Bessel expansion stops at the K of
+    ``chebyshev_coefficients``: the dropped terms sum to at most
+    (2 sum_{K<k<=top} |J_k(rho)| + 1e-40) ||v|| < tol ||v||, because
+    ||W_k|| <= ||v|| for the normal G.  The bound is on the computed J,
+    so the realised error sits near tol; the default keeps it at rounding
+    level.  Where 2 sum_{k>=1} (rho/2)^k / k! is below tol (rho = 0 and
+    the subnormal bands on which 2/rho overflows among them) K is 0 and
+    this returns v, since then 1 - J_0(rho) <= rho^2/4 is below tol too.
     """
     rho = skew_norm1(up)
     out = np.array(v, dtype=np.result_type(up, v, float))
-    k_top = chebyshev_terms(rho, tol)
-    if k_top == 0:
+    if rho < 1.0 and 2.0 * math.expm1(0.5 * rho) < tol:
         return out
-    coeffs = 2.0 * bessel_j(rho, k_top)
+    coeffs = (2.0 * chebyshev_coefficients(rho, tol)).tolist()
     band = (2.0 / rho) * up
     band_c = np.conj(band)
-    prev, cur = np.zeros_like(out), out.copy()
+    # W_k = (2/rho) G W_{k-1} + W_{k-2} is written over W_{k-2}, so the two
+    # buffers take turns; their shifted views and the products' buffers
+    # are made once
+    a, b = np.zeros_like(out), out.copy()
+    turns = ((a, a[1:], a[:-1], b[:-1], b[1:]), (b, b[1:], b[:-1], a[:-1], a[1:]))
     tmp = np.empty(len(band), dtype=out.dtype)
+    term = np.empty_like(out)
     out *= 0.5 * coeffs[0]
-    for k in range(1, k_top + 1):
-        # W_k = (2/rho) G W_{k-1} + W_{k-2}, written over W_{k-2}; W_1 is
-        # half of (2/rho) G W_0
-        np.multiply(band, cur[:-1], out=tmp)
-        prev[1:] += tmp
-        np.multiply(band_c, cur[1:], out=tmp)
-        prev[:-1] -= tmp
+    for k in range(1, len(coeffs)):
+        dst, dst_hi, dst_lo, src_lo, src_hi = turns[(k - 1) % 2]
+        np.multiply(band, src_lo, out=tmp)
+        np.add(dst_hi, tmp, out=dst_hi)
+        np.multiply(band_c, src_hi, out=tmp)
+        np.subtract(dst_lo, tmp, out=dst_lo)
         if k == 1:
-            prev *= 0.5
-        prev, cur = cur, prev
-        out += coeffs[k] * cur
+            # W_1 is half of (2/rho) G W_0
+            dst *= 0.5
+        np.multiply(dst, coeffs[k], out=term)
+        np.add(out, term, out=out)
     return out
 
 

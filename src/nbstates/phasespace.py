@@ -22,6 +22,7 @@ single Q point is the coherent overlap summed in the log domain.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -307,6 +308,7 @@ def _log_hermite_tail(n_top: int, rho: float) -> float:
             - math.log(2.0 * a * rho))
 
 
+@functools.cache
 def _support_extent(n_top: int) -> float:
     """Smallest rho (on a 1/16 grid) with (8/pi) sqrt(T(rho)) <= _GRID_EPS.
 
@@ -369,8 +371,13 @@ def _grid_walk(state: FockVector, window: tuple, s: float) -> np.ndarray:
     S with t = -s is W smoothed by a Gaussian of variance t/4 along x
     and y: along y it multiplies the integrand by e^{-t u^2}, along x
     (on the lattice of centres) it is one real kernel kappa, the inverse
-    DFT of e^{-t k^2 / 4}.  kappa is exact for every t and is the exact
-    delta at t = 0, where only the grid's own columns are computed.
+    DFT of e^{-t k^2 / 4}.  kappa is the exact delta at t = 0, where only
+    the grid's own columns are computed.  Where the band edge
+    e^{-t (pi/h)^2 / 4} is below eps / P, P the kernel's period, kappa is
+    the sampled Gaussian h e^{-d^2/t} / sqrt(pi t) to within eps / P at
+    every offset d, and it is set to 0 past d_max = sqrt(t ln(P / eps)),
+    where the Gaussian is below eps / P too; otherwise the whole
+    transform is kept.
 
     Lattice: h = step / k with k = ceil(step / h_max), so every column
     centre is a node.  Columns closer than h_max fall into classes
@@ -394,7 +401,10 @@ def _grid_walk(state: FockVector, window: tuple, s: float) -> np.ndarray:
     rho_W plus (2/pi) e^{-2 d^2 / t} at distance d past rho_W / sqrt2.
     So the images add at most ~2 eps, dropping psi past rho_W + h at
     most (8/pi) sqrt(T(rho_W)) <= eps, and the support clip - points
-    with |sqrt2 x| or |sqrt2 y| > rho, which get 0 - at most eps.
+    with |sqrt2 x| or |sqrt2 y| > rho, which get 0 - at most eps.  For S
+    the cut kappa drops at most P entries of ~eps / P each, so at most
+    ~eps max |g|, with g the lattice values before the x-smoothing
+    (|g| <= 2/pi).
     Each term is bounded by eps = 1e-16 (times sum |kappa| for S), and
     the lattice never grows with the window or with |beta|: it spans
     |q| <= rho only.
@@ -460,6 +470,12 @@ def _lattice_sums(c, centres, h, rho, reach, t, cos_w, sin_w) -> np.ndarray:
     k_q = 2.0 * math.pi * np.fft.rfftfreq(period, h)
     kappa = np.fft.irfft(np.expm1(-0.25 * t * k_q * k_q), period)
     kappa[0] += 1.0
+    if math.exp(-0.25 * t * (math.pi / h) ** 2) < _GRID_EPS / period:
+        # past d_max kappa is the transform's rounding noise, which would
+        # make every node a source (see _grid_walk)
+        j = np.arange(period)
+        d_max = math.sqrt(t * math.log(period / _GRID_EPS))
+        kappa[h * np.minimum(j, period - j) > d_max] = 0.0
     kern = kappa[(at[:, None] - inside[None, :]) % period]
     used = np.flatnonzero(kern.any(axis=0))
     sources = inside[used]

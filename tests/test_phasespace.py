@@ -14,6 +14,7 @@ from nbstates.states import NBSParams, nbs, number_state
 from nbstates.phasespace import (
     _GRID_EPS,
     GridSpec,
+    _support_extent,
     PhaseSpacePoint,
     grid_evaluate,
     q_function,
@@ -389,6 +390,24 @@ class TestFourierGridEngine:
             nodes = [(0, 0), (5, 5), (3, 8), (10, 2)]
             for got, want in _pointwise(reference, state, g, s, nodes):
                 assert abs(got - want) < 1e-9
+
+    @pytest.mark.parametrize("n_top", [0, 1, 33, 592, 4096])
+    def test_cached_support_extent_is_the_computed_one(self, n_top):
+        assert _support_extent(n_top) == _support_extent.__wrapped__(n_top)
+
+    @pytest.mark.parametrize("eta,m", [(0.1, 5), (0.5, 1)])
+    @pytest.mark.parametrize("s", [-0.9, -0.5, -1e-3])
+    def test_windowed_s_kernel_against_reference(self, eta, m, s, reference):
+        # at s = -0.9 and -0.5 the x-smoothing kernel is cut past its
+        # Gaussian reach, at s = -1e-3 its band edge is not negligible and
+        # the full kernel stays; the engine's budget is a few 1e-16 and the
+        # reference rounds at ~1e-15 on these states
+        state = nbs(NBSParams(eta, m))
+        g = grid_evaluate(state, GridSpec.square(6.0, 11, 11), "S", s)
+        nodes = [(5, 5), (3, 8)]
+        for (got, want), (i, j) in zip(_pointwise(reference, state, g, s, nodes), nodes):
+            assert abs(got - want) < 1e-13
+            assert abs(s_distribution(state, P(g.xs()[i], g.ys()[j]), s) - want) < 1e-13
 
     @pytest.mark.parametrize("s", [0.0, -1e-9, -0.3, -1.0])
     def test_complex_amplitudes_against_pointwise(self, s, reference):

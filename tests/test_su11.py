@@ -26,6 +26,7 @@ from nbstates.su11 import (
 )
 from nbstates._expm import (
     bessel_j,
+    chebyshev_coefficients,
     chebyshev_terms,
     expm_apply_skew,
     skew_norm1,
@@ -236,9 +237,8 @@ class TestExpmCore:
 
     @pytest.mark.parametrize("rho", [1e-3, 0.5, 5.0, 50.0, 500.0, 24573.0])
     def test_bessel_values_against_scipy(self, rho):
-        k_top = chebyshev_terms(rho, 1e-13)
-        got = bessel_j(rho, k_top)
-        expect = jv(np.arange(k_top + 1), rho)
+        got = bessel_j(rho, chebyshev_terms(rho, 1e-40) + 1)
+        expect = jv(np.arange(len(got)), rho)
         # the backward recurrence crosses ~rho oscillating orders
         assert np.max(np.abs(got - expect)) < (2e-14 if rho <= 500 else 3e-13)
 
@@ -263,6 +263,24 @@ class TestExpmCore:
 
     def test_term_count_at_zero_norm(self):
         assert chebyshev_terms(0.0, 1e-13) == 0
+
+    @pytest.mark.parametrize("rho", [1e-3, 0.5, 5.0, 50.0, 500.0, 24573.0])
+    @pytest.mark.parametrize("tol", [1e-16, 1e-13, 1e-8])
+    def test_realised_term_count_is_the_smallest_meeting_tol(self, rho, tol):
+        """K is the smallest count whose true tail 2 sum_{k>K} |J_k| is below tol.
+
+        The expansion stops on the computed J, and they bound the true ones:
+        past k = rho the J_k are the minimal solution of their recurrence, so
+        Miller's backward recurrence keeps their relative error small, and
+        the tail it sums is the true tail to a few digits.
+        """
+        k_top = len(chebyshev_coefficients(rho, tol)) - 1
+        j = np.abs(jv(np.arange(chebyshev_terms(rho, 1e-40) + 3), rho))
+        # tails[k] = 2 sum_{i>=k} |J_i|, the dropped terms after k - 1
+        tails = 2.0 * np.cumsum(j[::-1])[::-1]
+        assert tails[k_top + 1] < tol
+        assert k_top == 0 or tails[k_top] >= tol
+        assert k_top <= chebyshev_terms(rho, tol)
 
     @staticmethod
     def _band(n, rho, complex_band, seed):
