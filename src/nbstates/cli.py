@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, make_dataclass
+from dataclasses import asdict, dataclass, make_dataclass
 
 import numpy as np
 
@@ -52,12 +52,11 @@ class CliError(ValueError):
 class _Option:
     """One option of the subcommands, declared once for every source.
 
-    ``key`` is the config-file key and the argparse dest; the flag is
-    ``--`` plus the key with '-' for '_'.  A value from any source that
-    fails ``check``, a (predicate, requirement) pair, is rejected as
-    "<flag without dashes> must <requirement>, got <value>"; ``choices``
-    makes that check.  ``field`` names the RunConfig field: "" for the
-    key itself, None for an option that only shapes others.
+    ``key`` is the config-file key, the argparse dest and the RunConfig
+    field; the flag is ``--`` plus the key with '-' for '_'.  A value from
+    any source that fails ``check``, a (predicate, requirement) pair, is
+    rejected as "<flag without dashes> must <requirement>, got <value>";
+    ``choices`` makes that check.
     """
 
     key: str
@@ -68,11 +67,8 @@ class _Option:
     choices: tuple | None = None
     metavar: str | None = None
     aliases: tuple = ()
-    field: str | None = ""
 
     def __post_init__(self):
-        if self.field == "":
-            object.__setattr__(self, "field", self.key)
         if self.choices is not None:
             need = "be " + " or ".join(map(repr, self.choices))
             object.__setattr__(self, "check", (self.choices.__contains__, need))
@@ -107,15 +103,13 @@ _OPTIONS = {opt.key: opt for opt in (
     _Option("ny", int, 201, "grid rows (default 201)", DOMAINS["ny"]),
     _Option("range", float, help="shortcut for the square window [-R, R] x [-R, R]",
             check=(lambda v: math.isfinite(v) and v >= 0.0,
-                   "be a finite non-negative half-width"),
-            field=None),
-    _Option("eta_step", float, 1e-3, "eta grid step (default 1e-3)",
-            (lambda v: 1e-6 <= v <= 0.1, "lie in [1e-6, 0.1]")),
+                   "be a finite non-negative half-width")),
+    _Option("eta_step", float, 1e-3, "eta grid step (default 1e-3)", DOMAINS["eta_step"]),
     _Option("tail_eps", float, TruncationPolicy.tail_eps,
             f"basis truncation tolerance (default {TruncationPolicy.tail_eps:g})",
             (lambda v: 0.0 < v <= 1e-6, "lie in (0, 1e-6]"), metavar="EPS"),
     _Option("format", str, "csv", "output format (default csv; stats defaults to json)",
-            choices=("csv", "json"), field="fmt"),
+            choices=("csv", "json")),
     _Option("output", str, help="write to FILE instead of stdout", metavar="FILE",
             aliases=("-o",)),
 )}
@@ -123,8 +117,8 @@ _OPTIONS = {opt.key: opt for opt in (
 RunConfig = make_dataclass(
     "RunConfig",
     [("command", str)] + [
-        (opt.field, opt.kind, dataclasses.field(default=opt.default))
-        for opt in _OPTIONS.values() if opt.field
+        (key, opt.kind, dataclasses.field(default=opt.default))
+        for key, opt in _OPTIONS.items()
     ],
     frozen=True,
     namespace={"__module__": __name__,
@@ -253,11 +247,7 @@ def parse_config(argv) -> RunConfig:
     given.update((k, v) for k, v in vars(ns).items() if k in _OPTIONS and v is not None)
     if ns.command == "stats":
         given.setdefault("format", "json")
-    cfg = _resolve(ns.command, given)
-    return RunConfig(
-        command=ns.command,
-        **{opt.field: cfg[key] for key, opt in _OPTIONS.items() if opt.field},
-    )
+    return RunConfig(command=ns.command, **_resolve(ns.command, given))
 
 
 def _table_text(payload: dict, columns: dict, fmt: str) -> str:
@@ -274,11 +264,10 @@ def _table_text(payload: dict, columns: dict, fmt: str) -> str:
 
 
 def _grid_text(grid, fmt: str) -> str:
+    window = asdict(grid.spec)
     if fmt == "json":
-        payload = {k: v for k, v in vars(grid).items() if k != "values"}
-        return json_text(payload, {"values": grid.values})
-    window = [[grid.x_min, grid.x_max, grid.y_min, grid.y_max, grid.nx, grid.ny]]
-    return csv_text(grid.values, "# " + csv_text(window))
+        return json_text({**window, "riemann_sum": grid.riemann_sum}, {"values": grid.values})
+    return csv_text(grid.values, "# " + csv_text([list(window.values())]))
 
 
 def read_grid_csv(text: str) -> tuple[GridSpec, np.ndarray]:
@@ -314,7 +303,7 @@ def _stats_text(config: RunConfig) -> str:
         "mandel_q_numeric": report.mandel_q_numeric,
         "sub_poissonian_threshold": report.sub_poissonian_threshold,
     }
-    if config.fmt == "csv":
+    if config.format == "csv":
         return _table_text({}, {key: [value] for key, value in row.items()}, "csv")
     # the generating-function object is no table: the report stays json.dumps
     payload = {
@@ -335,7 +324,7 @@ def _squeeze_text(config: RunConfig) -> str:
     scan = squeezing_scan([config.m], etas, policy)
     columns = {"eta": scan.eta_values, "mean_a": scan.mean_a[0],
                "mean_a2": scan.mean_a2[0], "var_x": scan.var_x[0], "var_y": scan.var_y[0]}
-    return _table_text({"m": config.m}, columns, config.fmt)
+    return _table_text({"m": config.m}, columns, config.format)
 
 
 def _grid_command_text(config: RunConfig) -> str:
@@ -347,7 +336,7 @@ def _grid_command_text(config: RunConfig) -> str:
     )
     kind = {"qfunc": "Q", "wigner": "W", "sdist": "S"}[config.command]
     grid = grid_evaluate(state, spec, kind, config.s)
-    return _grid_text(grid, config.fmt)
+    return _grid_text(grid, config.format)
 
 
 def _evolve_text(config: RunConfig) -> str:
@@ -371,7 +360,7 @@ def _evolve_text(config: RunConfig) -> str:
     if config.scheme == "intensity":
         payload["m"] = m
     columns = dict(zip(("chi_t", "fidelity", "norm"), np.array(rows).T))
-    return _table_text(payload, columns, config.fmt)
+    return _table_text(payload, columns, config.format)
 
 
 def run(config: RunConfig) -> int:

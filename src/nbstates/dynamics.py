@@ -100,12 +100,11 @@ def atom_passage(
 
 
 def fidelity(a, b) -> float:
-    """|<a|b>|^2 for two states in the same representation.
+    """|<a|b>|^2 for two states of one type, FockVector or PairBasisVector.
 
     The shorter amplitude array is zero-padded to the longer basis.
     """
-    kinds = (FockVector, PairBasisVector)
-    if not any(isinstance(a, k) and isinstance(b, k) for k in kinds):
+    if type(a) is not type(b) or not isinstance(a, FockVector):
         raise TypeError(f"cannot compare {type(a).__name__} with {type(b).__name__}")
     if isinstance(a, PairBasisVector) and a.offset_m != b.offset_m:
         raise ValueError(f"pair-basis offset mismatch: {a.offset_m} vs {b.offset_m}")

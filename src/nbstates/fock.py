@@ -44,6 +44,7 @@ DOMAINS = {
                     (lambda v: index(v) >= 1, "be a positive integer")),
     "tail_eps": (lambda v: 0.0 < v < 1.0, "be in (0, 1)"),
     "g_t": (lambda v: 0.0 < v <= 0.1, "satisfy 0 < g_t <= 0.1"),
+    "eta_step": (lambda v: 1e-6 <= v <= 0.1, "lie in [1e-6, 0.1]"),
 }
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,14 +114,10 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class PhaseSpaceGrid:
-    """values[j, i] is the distribution at (xs()[i], ys()[j])."""
+    """A distribution on the window ``spec``: values[j, i] is its value at
+    (spec.xs()[i], spec.ys()[j]), and riemann_sum its window integral."""
 
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    nx: int
-    ny: int
+    spec: GridSpec
     values: np.ndarray
     riemann_sum: float
 
@@ -129,13 +125,9 @@ class PhaseSpaceGrid:
         vals = np.asarray(self.values, dtype=float)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        if vals.shape != (self.ny, self.nx):
-            raise ValueError(
-                f"values shape {vals.shape} does not match (ny, nx)="
-                f"({self.ny}, {self.nx})"
-            )
-
-    xs, ys = GridSpec.xs, GridSpec.ys
+        ny, nx = self.spec.ny, self.spec.nx
+        if vals.shape != (ny, nx):
+            raise ValueError(f"values shape {vals.shape} does not match (ny, nx)=({ny}, {nx})")
 
 
 def wigner(state: FockVector, p: PhaseSpacePoint) -> float:
@@ -526,4 +518,4 @@ def grid_evaluate(
     dx = (spec.x_max - spec.x_min) / (spec.nx - 1)
     dy = (spec.y_max - spec.y_min) / (spec.ny - 1)
     riemann = float(values.sum() * dx * dy)
-    return PhaseSpaceGrid(**asdict(spec), values=values, riemann_sum=riemann)
+    return PhaseSpaceGrid(spec, values, riemann)

@@ -208,10 +208,12 @@ def variances_at(
     return VarianceSample(eta, m, *(float(v[0]) for v in values))
 
 
-def default_eta_grid(lo: float = 0.01, hi: float = 0.999, step: float = 1e-3):
-    vals = np.arange(lo, hi + step / 2, step)
-    # coarse steps can overshoot hi by nearly step/2; never exceed it
-    return vals[vals <= hi + 1e-12 * max(1.0, abs(hi))]
+def default_eta_grid(step: float = 1e-3):
+    """The scanned etas 0.01, 0.01 + step, ... up to 0.999; step lies in [1e-6, 0.1]."""
+    check_domain(eta_step=step)
+    vals = np.arange(0.01, 0.999 + step / 2, step)
+    # coarse steps can overshoot 0.999 by nearly step/2; never exceed it
+    return vals[vals <= 0.999 + 1e-12]
 
 
 def x_squeezing_onset(scan: SqueezeScan) -> int | None:

@@ -38,29 +38,23 @@ class NBSParams:
 
 
 @dataclass(frozen=True, eq=False)
-class PairBasisVector:
+class PairBasisVector(FockVector):
     """Two-mode state on the span of |offset_m + n, n> for n = 0..n_max.
 
-    n_max is len(amplitudes) - 1.  eta is that of the two-mode
-    NB(eta, offset_m) family the state belongs to, where its constructor
-    knows it, and None otherwise.  tail_bound and eta are keyword-only.
+    A FockVector over the pair index n, plus offset_m and the eta of the
+    two-mode NB(eta, offset_m) family the state belongs to, where its
+    constructor knows it, and None otherwise.  eta is keyword-only.
     """
 
-    amplitudes: np.ndarray
     offset_m: int
     _: KW_ONLY
-    tail_bound: float = 0.0
     eta: float | None = None
 
     def __post_init__(self):
-        # amplitudes and tail_bound are checked as a FockVector's
-        FockVector.__post_init__(self)
+        super().__post_init__()
         check_domain(offset_m=self.offset_m)
         if self.eta is not None:
             check_domain(eta=self.eta)
-
-    n_max = FockVector.n_max
-    probabilities = FockVector.probabilities
 
 
 def basis_schedule(m: int, top: int):

@@ -107,15 +107,11 @@ class StatsReport:
     degenerate_vacuum: bool = False
 
 
-def stats_report(
-    eta: float,
-    m: int,
-    policy: TruncationPolicy | None = None,
-    lambdas: tuple = DEFAULT_LAMBDAS,
-) -> StatsReport:
+def stats_report(eta: float, m: int, policy: TruncationPolicy | None = None) -> StatsReport:
     """Assemble the full statistics report for one parameter point.
 
-    The numeric Mandel Q uses NB(eta, m) on ``choose_n_max(..., k=2)``, which
+    The generating function is taken at each of ``DEFAULT_LAMBDAS``.  The
+    numeric Mandel Q uses NB(eta, m) on ``choose_n_max(..., k=2)``, which
     hides under tail_eps of E[(N+1)(N+2)].  With M, S the sums of n p_n and
     n^2 p_n there and T1, T2 the parts of <N>, <N^2> above it, Q_num - Q =
     T1 (1 + S/(M <N>)) - T2/<N>: the larger of two nonnegative terms bounds
@@ -133,7 +129,7 @@ def stats_report(
     else:
         n_max, tail = choose_n_max(eta, m, policy, k=2)
         q_numeric = mandel_q_numeric(FockVector(nbs_amplitudes(eta, m, n_max), tail_bound=tail))
-    g_values = {lam: generating_function(lam, eta, m) for lam in lambdas}
+    g_values = {lam: generating_function(lam, eta, m) for lam in DEFAULT_LAMBDAS}
     return StatsReport(
         eta=eta,
         m=m,

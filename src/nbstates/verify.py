@@ -24,7 +24,7 @@ from .dynamics import (
     evolve_parametric,
     fidelity,
 )
-from .fock import TruncationPolicy, norm
+from .fock import FockVector, TruncationPolicy, norm
 from .phasespace import (
     GridSpec,
     PhaseSpacePoint,
@@ -69,6 +69,11 @@ class CheckResult:
     detail: str
 
 
+def _within(name: str, worst: float, budget: str, what: str) -> CheckResult:
+    """PASS when worst < budget, so NaN FAILs; ``what`` formats worst, budget is as printed."""
+    return CheckResult(name, worst < float(budget), f"{what.format(worst)} (budget {budget})")
+
+
 def criterion_moment_closed_forms() -> CheckResult:
     """Brute-force factorial moments vs closed forms on the (eta, m) grid."""
     # quadratic moments weight the hidden tail by n^2, so build far below
@@ -91,11 +96,8 @@ def criterion_moment_closed_forms() -> CheckResult:
                 abs(brute2 - f2),
                 abs(brute_q - mandel_q(eta, m)),
             )
-    return CheckResult(
-        "moment-closed-forms",
-        worst < 1e-8,
-        f"max deviation {worst:.3e} over eta 0.1..0.9, m 0..10 (budget 1e-8)",
-    )
+    return _within("moment-closed-forms", worst, "1e-8",
+                   "max deviation {:.3e} over eta 0.1..0.9, m 0..10")
 
 
 def criterion_sub_poissonian_threshold() -> CheckResult:
@@ -109,17 +111,11 @@ def criterion_sub_poissonian_threshold() -> CheckResult:
 
         found = find_sign_change(q_of_eta, closed - 0.03, closed + 0.03, 1e-5)
         worst = max(worst, abs(found - closed))
-    return CheckResult(
-        "sub-poissonian-threshold",
-        worst < 1e-4,
-        f"max |bisected - closed| {worst:.3e} for m in (1, 2, 5, 10) "
-        f"(budget 1e-4)",
-    )
+    return _within("sub-poissonian-threshold", worst, "1e-4",
+                   "max |bisected - closed| {:.3e} for m in (1, 2, 5, 10)")
 
 
 def _interior_vector(m: int, n_max: int, seed: int):
-    from .fock import FockVector
-
     rng = np.random.default_rng(seed)
     amps = np.zeros(n_max + 1, dtype=complex)
     k = n_max - 2 - m
@@ -133,36 +129,16 @@ def criterion_su11_algebra() -> CheckResult:
     worst = 0.0
     for m in range(7):
         v = _interior_vector(m, 56, seed=100 + m)
-        r1 = (
-            k_zero(k_plus(v, m), m).amplitudes
-            - k_plus(k_zero(v, m), m).amplitudes
-            - k_plus(v, m).amplitudes
-        )
-        r2 = (
-            k_zero(k_minus(v, m), m).amplitudes
-            - k_minus(k_zero(v, m), m).amplitudes
-            + k_minus(v, m).amplitudes
-        )
-        r3 = (
-            k_minus(k_plus(v, m), m).amplitudes
-            - k_plus(k_minus(v, m), m).amplitudes
-            - 2.0 * k_zero(v, m).amplitudes
-        )
         scale = float(np.linalg.norm(k_plus(v, m).amplitudes))
-        worst = max(
-            worst,
-            float(np.linalg.norm(r1)) / scale,
-            float(np.linalg.norm(r2)) / scale,
-            float(np.linalg.norm(r3)) / scale,
-        )
+        # [a, b] = c k: [K0, K+] = K+, [K0, K-] = -K-, [K-, K+] = 2 K0
+        for a, b, c, k in ((k_zero, k_plus, 1.0, k_plus), (k_zero, k_minus, -1.0, k_minus),
+                           (k_minus, k_plus, 2.0, k_zero)):
+            r = a(b(v, m), m).amplitudes - b(a(v, m), m).amplitudes - c * k(v, m).amplitudes
+            worst = max(worst, float(np.linalg.norm(r)) / scale)
         for eta in (0.2, 0.5, 0.8):
             worst = max(worst, ladder_residual(eta, m))
-    return CheckResult(
-        "su11-algebra",
-        worst < 1e-10,
-        f"max residual {worst:.3e} over m 0..6, eta (0.2, 0.5, 0.8) "
-        f"(budget 1e-10)",
-    )
+    return _within("su11-algebra", worst, "1e-10",
+                   "max residual {:.3e} over m 0..6, eta (0.2, 0.5, 0.8)")
 
 
 def criterion_triple_construction() -> CheckResult:
@@ -179,12 +155,8 @@ def criterion_triple_construction() -> CheckResult:
                 1.0 - fidelity(direct, added),
                 1.0 - fidelity(displaced, added),
             )
-    return CheckResult(
-        "triple-construction",
-        worst < 1e-10,
-        f"max pairwise infidelity {worst:.3e} over m 0..6, "
-        f"eta (0.2, 0.5, 0.8) (budget 1e-10)",
-    )
+    return _within("triple-construction", worst, "1e-10",
+                   "max pairwise infidelity {:.3e} over m 0..6, eta (0.2, 0.5, 0.8)")
 
 
 def criterion_nonlinear_lowering() -> CheckResult:
@@ -193,11 +165,7 @@ def criterion_nonlinear_lowering() -> CheckResult:
     for m in range(7):
         for eta in (0.2, 0.5, 0.8):
             worst = max(worst, nonlinear_eigen_residual(eta, m))
-    return CheckResult(
-        "nonlinear-lowering",
-        worst < 1e-8,
-        f"max residual {worst:.3e} over m 0..6 (budget 1e-8)",
-    )
+    return _within("nonlinear-lowering", worst, "1e-8", "max residual {:.3e} over m 0..6")
 
 
 def criterion_squeezing_criticals() -> CheckResult:
@@ -261,9 +229,7 @@ def criterion_phase_space_identities() -> CheckResult:
         parity = 2.0 / math.pi * float(probs @ (-1.0) ** np.arange(len(probs)))
         worst_red = max(worst_red, abs(wigner(state, PhaseSpacePoint(0, 0)) - parity))
         for beta in (0.0, 0.7, 1.1 - 0.6j):
-            p = PhaseSpacePoint(beta.real, beta.imag) if isinstance(
-                beta, complex
-            ) else PhaseSpacePoint(beta, 0.0)
+            p = PhaseSpacePoint.from_complex(complex(beta))
             worst_red = max(
                 worst_red, abs(s_distribution(state, p, -1.0) - q_function(state, p))
             )
@@ -324,12 +290,8 @@ def criterion_generation_dynamics() -> CheckResult:
         # geometric base: |(a1+)^m psi|^2 = m!/eta^m in closed form
         expected = 1.0 / (1.0 + 0.05**2 * math.factorial(m_photon) / 0.5**m_photon)
         worst = max(worst, abs(weight - expected))
-    return CheckResult(
-        "generation-dynamics",
-        worst < 1e-10,
-        f"max infidelity / norm defect {worst:.3e} over chi_t <= 2 "
-        f"(budget 1e-10)",
-    )
+    return _within("generation-dynamics", worst, "1e-10",
+                   "max infidelity / norm defect {:.3e} over chi_t <= 2")
 
 
 ALL_CRITERIA = [

@@ -5,6 +5,7 @@ deviation; the command-line checks go through a real interpreter.
 """
 
 import json
+import math
 import subprocess
 import sys
 
@@ -23,6 +24,15 @@ def test_criterion(criterion):
     line = f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}"
     print(line)
     assert result.passed, line
+
+
+@pytest.mark.parametrize(
+    "worst,passed", [(1e-8, False), (math.nan, False), (math.nextafter(1e-8, 0.0), True)]
+)
+def test_within_passes_strictly_below_the_budget(worst, passed):
+    result = verify._within("check", worst, "1e-8", "worst {:.3e}")
+    assert result.passed is passed
+    assert result.detail.endswith("(budget 1e-8)")
 
 
 class TestCommandLine:

@@ -28,11 +28,11 @@ class TestParsing:
         assert (cfg.x_min, cfg.x_max, cfg.y_min, cfg.y_max) == (-6, 6, -6, 6)
         assert (cfg.nx, cfg.ny) == (201, 201)
         assert cfg.tail_eps == 1e-12
-        assert cfg.fmt == "csv"
+        assert cfg.format == "csv"
 
     def test_stats_defaults_to_json(self):
-        assert parse("stats", "--eta", "0.5", "--m", "1").fmt == "json"
-        assert parse("stats", "--eta", "0.5", "--m", "1", "--format", "csv").fmt == "csv"
+        assert parse("stats", "--eta", "0.5", "--m", "1").format == "json"
+        assert parse("stats", "--eta", "0.5", "--m", "1", "--format", "csv").format == "csv"
 
     def test_range_shortcut(self):
         cfg = parse("qfunc", "--eta", "0.5", "--m", "1", "--range", "2.5")
@@ -112,7 +112,7 @@ class TestConfigSources:
         cfg = parse("stats", "--config", str(f), "--m", "4")
         assert cfg.eta == 0.5
         assert cfg.m == 4
-        assert cfg.fmt == "json"
+        assert cfg.format == "json"
 
     def test_env_overrides_default_but_not_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NBS_TAIL_EPS", "1e-9")
@@ -270,12 +270,12 @@ class TestBulkWriters:
 
     def test_grid_text_matches_the_per_value_writers(self):
         from nbstates.cli import _grid_text
-        from nbstates.phasespace import PhaseSpaceGrid
+        from nbstates.phasespace import GridSpec, PhaseSpaceGrid
 
         vals = np.array([[-0.0, 0.0, 5e-324, -1e300],
                          [math.inf, -math.inf, math.nan, 0.1],
                          [1 / 3, -2 / 3, 1e-17, 123456789.0]])
-        grid = PhaseSpaceGrid(-0.0, 1.0, -0.0, 2.0, 4, 3, vals, -0.0)
+        grid = PhaseSpaceGrid(GridSpec(-0.0, 1.0, -0.0, 2.0, 4, 3), vals, -0.0)
         payload = {"x_min": -0.0, "x_max": 1.0, "y_min": -0.0, "y_max": 2.0,
                    "nx": 4, "ny": 3, "riemann_sum": -0.0, "values": vals.tolist()}
         # JSON keeps negative zero; CSV folds it into plain zero

@@ -196,6 +196,10 @@ class TestFidelity:
     def test_mixed_representations_rejected(self):
         with pytest.raises(TypeError):
             fidelity(nbs(NBSParams(0.5, 1)), two_mode_geometric(0.5))
+        with pytest.raises(TypeError):
+            fidelity(two_mode_geometric(0.5), nbs(NBSParams(0.5, 1)))
+        with pytest.raises(TypeError):
+            fidelity(np.ones(2), np.ones(2))
 
     def test_pair_basis_padding(self):
         a = two_mode_geometric(0.5)

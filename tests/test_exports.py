@@ -69,3 +69,32 @@ def _unused_imports(path):
 )
 def test_every_import_is_used_or_exported(path):
     assert _unused_imports(path) == []
+
+
+_TREES = {p: ast.parse(p.read_text(encoding="utf-8"))
+          for p in sorted(Path(nbstates.__file__).parent.glob("*.py"))}
+_CLASSES = {node.name for tree in _TREES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)}
+
+
+def _borrowed_attributes(tree):
+    """Class-body assignments whose value is ``OtherClass.attr`` for a class of the package."""
+    borrowed = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)) or stmt.value is None:
+                continue
+            values = stmt.value.elts if isinstance(stmt.value, ast.Tuple) else [stmt.value]
+            borrowed += [f"{cls.name}: {ast.unparse(v)}" for v in values
+                         if isinstance(v, ast.Attribute) and isinstance(v.value, ast.Name)
+                         and v.value.id in _CLASSES]
+    return borrowed
+
+
+# a class that shares another's fields and methods inherits them, so its
+# type says so; an attribute copied in its body hides that
+@pytest.mark.parametrize("path", _TREES, ids=lambda p: p.stem)
+def test_no_class_borrows_another_class_attribute(path):
+    assert _borrowed_attributes(_TREES[path]) == []

@@ -23,7 +23,7 @@ from nbstates.fock import (
     tail_mass_nbs,
 )
 from nbstates.phasespace import GridSpec
-from nbstates.squeeze import squeezing_scan
+from nbstates.squeeze import default_eta_grid, squeezing_scan
 from nbstates.states import (
     NBSParams,
     PairBasisVector,
@@ -69,6 +69,9 @@ _OUTSIDE = [
     (su11_displace, (math.inf, 1), "xi must be finite, got inf"),
     (TruncationPolicy, (1e-12, 100.5), "n_hard_cap must be a positive integer, got 100.5"),
     (TruncationPolicy, (1.5,), "tail_eps must be in (0, 1), got 1.5"),
+    (default_eta_grid, (0.0,), "eta_step must lie in [1e-6, 0.1], got 0.0"),
+    (default_eta_grid, (-0.1,), "eta_step must lie in [1e-6, 0.1], got -0.1"),
+    (default_eta_grid, (math.nan,), "eta_step must lie in [1e-6, 0.1], got nan"),
 ]
 
 

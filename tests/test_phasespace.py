@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from nbstates.phasespace import (
     _GRID_EPS,
     GridSpec,
     _support_extent,
+    PhaseSpaceGrid,
     PhaseSpacePoint,
     grid_evaluate,
     q_function,
@@ -233,6 +235,12 @@ class TestGrids:
         s = GridSpec.square(4.0, 11, 11)
         assert (s.x_min, s.x_max, s.y_min, s.y_max) == (-4.0, 4.0, -4.0, 4.0)
 
+    def test_grid_carries_its_spec(self):
+        spec = GridSpec(-1.0, 2.0, -0.5, 0.5, 4, 3)
+        assert grid_evaluate(number_state(1, 4), spec, "W").spec == spec
+        with pytest.raises(ValueError, match=re.escape("(ny, nx)=(3, 4)")):
+            PhaseSpaceGrid(spec, np.zeros((4, 3)), 0.0)
+
     def test_vacuum_q_normalizes(self):
         g = grid_evaluate(number_state(0, 10), GridSpec.square(6.0), "Q")
         assert abs(g.riemann_sum - 1.0) < 1e-6
@@ -240,7 +248,7 @@ class TestGrids:
     def test_vacuum_wigner_walk_against_analytic(self):
         spec = GridSpec.square(6.0, 201, 201)
         g = grid_evaluate(number_state(0, 8), spec, "W")
-        xs, ys = g.xs(), g.ys()
+        xs, ys = g.spec.xs(), g.spec.ys()
         r2 = xs[None, :] ** 2 + ys[:, None] ** 2
         expect = (2 / math.pi) * np.exp(-2 * r2)
         assert np.max(np.abs(g.values - expect)) < 1e-12
@@ -265,7 +273,7 @@ class TestGrids:
     def test_q_grid_nonnegative_and_compressed(self):
         g = grid_evaluate(nbs(NBSParams(0.2, 5)), GridSpec.square(6.0, 61, 61), "Q")
         assert np.min(g.values) >= 0
-        xs, ys = g.xs(), g.ys()
+        xs, ys = g.spec.xs(), g.spec.ys()
         mass = g.values.sum()
         mx2 = (g.values * xs[None, :] ** 2).sum() / mass
         my2 = (g.values * ys[:, None] ** 2).sum() / mass
@@ -329,7 +337,7 @@ def _pointwise(reference, state, grid, s, nodes):
     Real amplitudes take perfbench/reference.py, complex ones the dense
     displaced-overlap sum; neither shares code with the grid engine.
     """
-    xs, ys = grid.xs(), grid.ys()
+    xs, ys = grid.spec.xs(), grid.spec.ys()
     c = state.amplitudes
     for i, j in nodes:
         if np.any(c.imag):
@@ -366,7 +374,7 @@ class TestFourierGridEngine:
         spec = GridSpec(-3.0, 2.5, -2.0, 3.0, 23, 17)
         kind = "W" if s == 0.0 else "S"
         g = grid_evaluate(number_state(k, 8), spec, kind, s)
-        assert np.max(np.abs(g.values - _closed_s(k, g.xs(), g.ys(), s))) < 1e-14
+        assert np.max(np.abs(g.values - _closed_s(k, g.spec.xs(), g.spec.ys(), s))) < 1e-14
 
     @pytest.mark.parametrize(
         "state,spec",
@@ -407,7 +415,7 @@ class TestFourierGridEngine:
         nodes = [(5, 5), (3, 8)]
         for (got, want), (i, j) in zip(_pointwise(reference, state, g, s, nodes), nodes):
             assert abs(got - want) < 1e-13
-            assert abs(s_distribution(state, P(g.xs()[i], g.ys()[j]), s) - want) < 1e-13
+            assert abs(s_distribution(state, P(g.spec.xs()[i], g.spec.ys()[j]), s) - want) < 1e-13
 
     @pytest.mark.parametrize("s", [0.0, -1e-9, -0.3, -1.0])
     def test_complex_amplitudes_against_pointwise(self, s, reference):
@@ -507,7 +515,7 @@ def _q_grid_against(state, spec, want, nodes=None):
     """The Q grid is nonnegative and within 1e-15 of want(x, y) at nodes."""
     g = grid_evaluate(state, spec, "Q")
     assert g.values.min() >= 0.0
-    xs, ys = g.xs(), g.ys()
+    xs, ys = g.spec.xs(), g.spec.ys()
     if nodes is None:
         nodes = [(i, j) for i in range(spec.nx) for j in range(spec.ny)]
     for i, j in nodes:

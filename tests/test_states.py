@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nbstates.dynamics import fidelity
-from nbstates.fock import TruncationError, TruncationPolicy, tail_mass_nbs
+from nbstates.fock import FockVector, TruncationError, TruncationPolicy, tail_mass_nbs
 from nbstates.states import (
     NBSParams,
     PairBasisVector,
@@ -358,6 +358,15 @@ class TestTwoMode:
     def test_constructors_name_their_family(self):
         assert two_mode_geometric(0.4).eta == 0.4
         assert two_mode_nbs(0.7, 3).eta == 0.7
+
+    def test_pair_vector_is_a_fock_vector(self):
+        v = two_mode_nbs(0.5, 2)
+        assert isinstance(v, FockVector)
+        # inherited from FockVector, not declared or copied in the class body
+        own = vars(PairBasisVector).keys()
+        assert not {"amplitudes", "tail_bound", "n_max", "probabilities"} & own
+        assert v.n_max == len(v.amplitudes) - 1
+        np.testing.assert_array_equal(v.probabilities(), v.amplitudes**2)
 
     @pytest.mark.parametrize("eta", [0.0, -0.2, 1.5, math.nan])
     def test_family_eta_validated(self, eta):

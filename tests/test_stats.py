@@ -176,11 +176,6 @@ class TestReport:
         assert rep.sub_poissonian_threshold == pytest.approx(4 - math.sqrt(12))
         assert rep.generating_function_values[1.0] == pytest.approx(1.0)
 
-    def test_custom_lambdas(self):
-        rep = stats_report(0.5, 0, lambdas=(0.5,))
-        assert set(rep.generating_function_values) == {0.5}
-        assert rep.generating_function_values[0.5] == pytest.approx(2 / 3)
-
 
 class TestFindSignChange:
     def test_simple_root(self):
