@@ -7,7 +7,7 @@ Subcommands
     wigner        Wigner grid for one state
     sdist         s-ordered distribution grid for one state
     evolve        fidelity-vs-interaction-time series for a generation scheme
-    verify        run the built-in acceptance checks, one line per check
+    verify        built-in acceptance checks, one line each; reads only --config, -o
 
 Exit codes: 0 success, 1 invalid arguments or config, 2 numerical failure
 (truncation).  Output is deterministic: identical configuration produces
@@ -28,12 +28,13 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, make_dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ._text import csv_text, json_text
 from .dynamics import EvolutionSpec, evolve_intensity_dependent, evolve_parametric, fidelity
-from .fock import DOMAINS, TruncationError, TruncationPolicy
+from .fock import DOMAINS, TruncationError, TruncationPolicy, norm
 from .phasespace import GridSpec, grid_evaluate
 from .squeeze import SCAN_POLICY, default_eta_grid, squeezing_scan
 from .states import NBSParams, nbs, two_mode_geometric
@@ -121,31 +122,15 @@ RunConfig = make_dataclass(
         for key, opt in _OPTIONS.items()
     ],
     frozen=True,
-    namespace={"__module__": __name__,
-               "__doc__": "A subcommand and the resolved value of each of its options."},
+    namespace={
+        "__module__": __name__,
+        "__doc__": "A subcommand, the resolved value of each of its options, and the grid "
+                   "window (spec) and truncation policy built from them once.",
+        "spec": functools.cached_property(
+            lambda c: GridSpec(c.x_min, c.x_max, c.y_min, c.y_max, c.nx, c.ny)),
+        "policy": functools.cached_property(lambda c: TruncationPolicy(tail_eps=c.tail_eps)),
+    },
 )
-
-_STATE = ("eta", "m")
-_GRID = ("x_min", "x_max", "y_min", "y_max", "nx", "ny", "range")
-_COMMON = ("config", "tail_eps", "format", "output")
-
-# command: (summary, its options in --help order, the options it requires).
-# An (option, help) pair gives an option another help text in one command.
-_COMMANDS = {
-    "stats": ("photon statistics report for one (eta, m)", _STATE + _COMMON, _STATE),
-    "squeeze-scan": ("quadrature variances over the eta grid",
-                     _COMMON + ("m", "eta_step"), ("m",)),
-    "qfunc": ("Husimi distribution grid", _STATE + _GRID + _COMMON, _STATE),
-    "wigner": ("Wigner distribution grid", _STATE + _GRID + _COMMON, _STATE),
-    "sdist": ("s-ordered distribution grid", _STATE + _GRID + _COMMON + ("s",),
-              _STATE + ("s",)),
-    "evolve": ("fidelity of the evolved state vs interaction time",
-               _COMMON + ("chi_t", "scheme",
-                          ("m", "initial number state for the intensity scheme (default 0)"),
-                          "steps"),
-               ("chi_t",)),
-    "verify": ("run the acceptance checks and report PASS/FAIL", _COMMON, ()),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,9 +155,9 @@ def _build_parser() -> _Parser:
         "phase-space grids, and generation dynamics.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for command, (summary, keys, _) in _COMMANDS.items():
-        cmd = sub.add_parser(command, help=summary)
-        for key in keys:
+    for command, row in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=row.summary)
+        for key in row.keys:
             key, help_text = key if isinstance(key, tuple) else (key, None)
             if key == "config":
                 cmd.add_argument("--config", metavar="FILE", help="key=value config file")
@@ -196,7 +181,7 @@ def _read_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path!r}: {exc}") from None
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -213,26 +198,28 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _resolve(cmd: str, given: dict) -> dict:
-    """Fill defaults under the given values, check them, apply --range."""
-    cfg = {key: given.get(key, opt.default) for key, opt in _OPTIONS.items()}
-    for key in _COMMANDS[cmd][2]:
+def _resolve(cmd: str, given: dict) -> RunConfig:
+    """Fill the command's defaults under the given values, check them, apply --range."""
+    row = _COMMANDS[cmd]
+    cfg = {**{key: opt.default for key, opt in _OPTIONS.items()}, **row.defaults, **given}
+    for key in row.required:
         if cfg[key] is None:
             raise CliError(f"{cmd} requires {_OPTIONS[key].flag}")
     for key, opt in _OPTIONS.items():
         value = cfg[key]
         if value is not None and opt.check is not None and not opt.check[0](value):
             raise CliError(f"{opt.name} must {opt.check[1]}, got {value}")
-    if cmd == "evolve" and cfg["scheme"] == "parametric" and cfg["m"] is not None:
+    if cmd == "evolve" and cfg["scheme"] == "parametric" and "m" in given:
         raise CliError("the parametric scheme is seeded by vacuum; --m does not apply")
     r = cfg["range"]
     if r is not None:
         cfg.update(x_min=-r, x_max=r, y_min=-r, y_max=r)
+    config = RunConfig(command=cmd, **cfg)
     try:
-        GridSpec(*(cfg[key] for key in _GRID[:-1]))
+        config.spec  # built here once, and checked
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    return cfg
+    return config
 
 
 def parse_config(argv) -> RunConfig:
@@ -245,9 +232,7 @@ def parse_config(argv) -> RunConfig:
     if ns.config is not None:
         given.update(_read_config_file(ns.config))
     given.update((k, v) for k, v in vars(ns).items() if k in _OPTIONS and v is not None)
-    if ns.command == "stats":
-        given.setdefault("format", "json")
-    return RunConfig(command=ns.command, **_resolve(ns.command, given))
+    return _resolve(ns.command, given)
 
 
 def _table_text(payload: dict, columns: dict, fmt: str) -> str:
@@ -290,10 +275,8 @@ def read_grid_csv(text: str) -> tuple[GridSpec, np.ndarray]:
     return GridSpec(x_min, x_max, y_min, y_max, nx, ny), values
 
 
-def _stats_text(config: RunConfig) -> str:
-    report = stats_report(
-        config.eta, config.m, TruncationPolicy(tail_eps=config.tail_eps)
-    )
+def _stats_text(config: RunConfig) -> tuple[str, int]:
+    report = stats_report(config.eta, config.m, config.policy)
     row = {
         "eta": report.eta,
         "m": report.m,
@@ -304,7 +287,7 @@ def _stats_text(config: RunConfig) -> str:
         "sub_poissonian_threshold": report.sub_poissonian_threshold,
     }
     if config.format == "csv":
-        return _table_text({}, {key: [value] for key, value in row.items()}, "csv")
+        return _table_text({}, {key: [value] for key, value in row.items()}, "csv"), 0
     # the generating-function object is no table: the report stays json.dumps
     payload = {
         **row,
@@ -314,72 +297,88 @@ def _stats_text(config: RunConfig) -> str:
             for lam, val in sorted(report.generating_function_values.items())
         },
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n", 0
 
 
-def _squeeze_text(config: RunConfig) -> str:
+def _squeeze_text(config: RunConfig) -> tuple[str, int]:
     etas = default_eta_grid(step=config.eta_step)
     # small-eta rows need the roomier scan cap, not the general default
     policy = dataclasses.replace(SCAN_POLICY, tail_eps=config.tail_eps)
     scan = squeezing_scan([config.m], etas, policy)
     columns = {"eta": scan.eta_values, "mean_a": scan.mean_a[0],
                "mean_a2": scan.mean_a2[0], "var_x": scan.var_x[0], "var_y": scan.var_y[0]}
-    return _table_text({"m": config.m}, columns, config.format)
+    return _table_text({"m": config.m}, columns, config.format), 0
 
 
-def _grid_command_text(config: RunConfig) -> str:
-    policy = TruncationPolicy(tail_eps=config.tail_eps)
-    state = nbs(NBSParams(config.eta, config.m), policy)
-    spec = GridSpec(
-        config.x_min, config.x_max, config.y_min, config.y_max,
-        config.nx, config.ny,
-    )
-    kind = {"qfunc": "Q", "wigner": "W", "sdist": "S"}[config.command]
-    grid = grid_evaluate(state, spec, kind, config.s)
-    return _grid_text(grid, config.format)
+def _grid_command_text(config: RunConfig, kind: str) -> tuple[str, int]:
+    state = nbs(NBSParams(config.eta, config.m), config.policy)
+    return _grid_text(grid_evaluate(state, config.spec, kind, config.s), config.format), 0
 
 
-def _evolve_text(config: RunConfig) -> str:
-    policy = TruncationPolicy(tail_eps=config.tail_eps)
-    m = config.m if config.m is not None else 0
-    times = np.linspace(0.0, config.chi_t, config.steps)
+def _evolve_text(config: RunConfig) -> tuple[str, int]:
     rows = []
-    for chi_t in times:
-        chi_t = float(chi_t)
+    for chi_t in np.linspace(0.0, config.chi_t, config.steps).tolist():
         eta_target = sech_squared(chi_t)
         if config.scheme == "intensity":
-            v = evolve_intensity_dependent(EvolutionSpec(chi_t, m=m, policy=policy))
-            target = nbs(NBSParams(eta_target, m), policy)
+            v = evolve_intensity_dependent(EvolutionSpec(chi_t, m=config.m, policy=config.policy))
+            target = nbs(NBSParams(eta_target, config.m), config.policy)
         else:
-            v = evolve_parametric(chi_t, policy)
-            target = two_mode_geometric(eta_target, policy)
-        rows.append(
-            (chi_t, fidelity(v, target), float(np.linalg.norm(v.amplitudes)))
-        )
+            v = evolve_parametric(chi_t, config.policy)
+            target = two_mode_geometric(eta_target, config.policy)
+        rows.append((chi_t, fidelity(v, target), norm(v)))
     payload = {"scheme": config.scheme}
     if config.scheme == "intensity":
-        payload["m"] = m
+        payload["m"] = config.m
     columns = dict(zip(("chi_t", "fidelity", "norm"), np.array(rows).T))
-    return _table_text(payload, columns, config.format)
+    return _table_text(payload, columns, config.format), 0
+
+
+def _verify_text(config: RunConfig) -> tuple[str, int]:
+    lines = []
+    code = run_all(write=lines.append)
+    return "\n".join(lines) + "\n", code
+
+
+class _Command(NamedTuple):
+    """A subcommand: the options it reads in --help order (an (option, help)
+    pair gives one another help text here), the options it requires, its
+    handler, returning (text, exit code), and the defaults it changes."""
+
+    summary: str
+    keys: tuple
+    required: tuple
+    handler: Callable[[RunConfig], tuple[str, int]]
+    defaults: dict = {}
+
+
+_STATE = ("eta", "m")
+_GRID = ("x_min", "x_max", "y_min", "y_max", "nx", "ny", "range")
+_COMMON = ("config", "tail_eps", "format", "output")
+_EVOLVE_M = "initial number state for the intensity scheme (default 0)"
+
+_COMMANDS = {
+    "stats": _Command("photon statistics report for one (eta, m)", _STATE + _COMMON, _STATE,
+                      _stats_text, defaults={"format": "json"}),
+    "squeeze-scan": _Command("quadrature variances over the eta grid",
+                             _COMMON + ("m", "eta_step"), ("m",), _squeeze_text),
+    "qfunc": _Command("Husimi distribution grid", _STATE + _GRID + _COMMON, _STATE,
+                      functools.partial(_grid_command_text, kind="Q")),
+    "wigner": _Command("Wigner distribution grid", _STATE + _GRID + _COMMON, _STATE,
+                       functools.partial(_grid_command_text, kind="W")),
+    "sdist": _Command("s-ordered distribution grid", _STATE + _GRID + _COMMON + ("s",),
+                      _STATE + ("s",), functools.partial(_grid_command_text, kind="S")),
+    "evolve": _Command("fidelity of the evolved state vs interaction time",
+                       _COMMON + ("chi_t", "scheme", ("m", _EVOLVE_M), "steps"), ("chi_t",),
+                       _evolve_text, defaults={"m": 0}),
+    "verify": _Command("run the acceptance checks and report PASS/FAIL",
+                       ("config", "output"), (), _verify_text),
+}
 
 
 def run(config: RunConfig) -> int:
     """Execute a parsed configuration; returns the process exit code."""
     try:
-        if config.command == "verify":
-            lines = []
-            code = run_all(write=lines.append)
-            text = "\n".join(lines) + "\n"
-        else:
-            code = 0
-            text = {
-                "stats": _stats_text,
-                "squeeze-scan": _squeeze_text,
-                "qfunc": _grid_command_text,
-                "wigner": _grid_command_text,
-                "sdist": _grid_command_text,
-                "evolve": _evolve_text,
-            }[config.command](config)
+        text, code = _COMMANDS[config.command].handler(config)
     except TruncationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -4,8 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -33,6 +35,17 @@ class TestParsing:
     def test_stats_defaults_to_json(self):
         assert parse("stats", "--eta", "0.5", "--m", "1").format == "json"
         assert parse("stats", "--eta", "0.5", "--m", "1", "--format", "csv").format == "csv"
+
+    def test_window_and_policy_are_built_once(self):
+        cfg = parse("wigner", "--eta", "0.5", "--m", "1", "--range", "2", "--tail-eps", "1e-9")
+        assert cfg.spec is cfg.spec and cfg.policy is cfg.policy
+        assert (cfg.spec.x_min, cfg.spec.y_max, cfg.spec.nx) == (-2.0, 2.0, 201)
+        assert cfg.policy.tail_eps == 1e-9
+
+    def test_evolve_defaults_m_to_vacuum(self):
+        assert parse("evolve", "--chi-t", "1").m == 0
+        assert parse("evolve", "--chi-t", "1", "--scheme", "parametric").m == 0
+        assert parse("evolve", "--chi-t", "1", "--m", "3").m == 3
 
     def test_range_shortcut(self):
         cfg = parse("qfunc", "--eta", "0.5", "--m", "1", "--range", "2.5")
@@ -153,6 +166,31 @@ class TestConfigSources:
         with pytest.raises(CliError, match="cannot read"):
             parse("stats", "--eta", "0.5", "--m", "1",
                   "--config", str(tmp_path / "nope.conf"))
+
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        f = tmp_path / "bad.cfg"
+        f.write_bytes(b"eta = 0.5\nm = 1\xff\n")
+        assert main(["stats", "--config", str(f)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: cannot read config file {str(f)!r}: 'utf-8' codec")
+        assert out.err.count("\n") == 1
+
+
+class TestVerifyCommand:
+    @pytest.mark.parametrize("flags", [["--format", "json"], ["--tail-eps", "1e-7"]])
+    def test_reads_no_numeric_options(self, flags, capsys):
+        assert main(["verify"] + flags) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"nbs: error: unrecognized arguments: {' '.join(flags)}\n"
+
+    def test_output_file_holds_the_printed_bytes(self, tmp_path, capsys):
+        path = tmp_path / "verify.txt"
+        assert main(["verify", "-o", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["verify"]) == 0
+        assert path.read_bytes() == capsys.readouterr().out.encode()
 
 
 class TestStatsCommand:
@@ -539,14 +577,18 @@ _COMMAND_OPTIONS = {
 }
 
 
+def _flag(key, value):
+    # --flag=value, so that argparse reads "-1e308" as a value
+    return f"--{key.replace('_', '-')}={value!r}".replace("'", "")
+
+
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_COMMAND_OPTIONS)))
     argv = [command]
     for key in _COMMAND_OPTIONS[command]:
         if draw(st.integers(0, 7)):  # each option present seven times in eight
-            # --flag=value, so that argparse reads "-1e308" as a value
-            argv.append(f"--{key.replace('_', '-')}={draw(_VALUES[key])!r}".replace("'", ""))
+            argv.append(_flag(key, draw(_VALUES[key])))
     return argv
 
 
@@ -558,24 +600,55 @@ def _finite_numbers(item):
     return not isinstance(item, float) or math.isfinite(item)
 
 
+def _assert_output_or_one_line(argv):
+    """main(argv) prints finite numbers and exits 0, or exits 1 or 2 with one stderr line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == "" and out
+        if parse_config(argv).format == "json":
+            assert _finite_numbers(json.loads(out))
+        else:
+            rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
+            assert all(math.isfinite(float(v)) for ln in rows for v in ln.split(","))
+    else:
+        assert code in (1, 2)
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+
+
+# config-file lines that no value can make valid
+_BAD_LINES = (b"just a line", b"volume = 11", b"m = 1\xff")
+
+
+@st.composite
+def _config_run(draw):
+    """A command, its required flags and a config file of a few key = value lines."""
+    command = draw(st.sampled_from(sorted(_COMMAND_OPTIONS)))
+    argv = [command] + [_flag(key, draw(_VALUES[key])) for key in cli._COMMANDS[command].required]
+    keys = draw(st.lists(st.sampled_from(_COMMAND_OPTIONS[command]), max_size=4))
+    lines = [f"{key} = {draw(_VALUES[key])!r}".replace("'", "").encode() for key in keys]
+    if not draw(st.integers(0, 3)):  # a bad line one time in four
+        lines.append(draw(st.sampled_from(_BAD_LINES)))
+    return argv, b"\n".join(draw(st.permutations(lines))) + b"\n"
+
+
 class TestArgvProperty:
     @settings(max_examples=80)
     @given(argv=_argv())
     def test_every_run_ends_in_output_or_one_line(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        out, err = out.getvalue(), err.getvalue()
-        if code == 0:
-            assert err == "" and out
-            if "--format=json" in argv or (argv[0] == "stats" and "--format=csv" not in argv):
-                assert _finite_numbers(json.loads(out))
-            else:
-                rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
-                assert all(math.isfinite(float(v)) for ln in rows for v in ln.split(","))
-        else:
-            assert code in (1, 2)
-            assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+        _assert_output_or_one_line(argv)
+
+    @settings(max_examples=40)
+    @given(case=_config_run())
+    def test_every_config_file_run_ends_in_output_or_one_line(self, case):
+        argv, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.conf")
+            with open(path, "wb") as fh:
+                fh.write(text)
+            _assert_output_or_one_line(argv + ["--config", path])
 
     @pytest.mark.parametrize("step", ["1e-170", "1e-9", "9.9e-7"])
     def test_tiny_eta_step_is_an_argument_error(self, step, capsys):
