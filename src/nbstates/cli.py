@@ -15,7 +15,8 @@ bit-identical bytes.
 
 Option precedence: command-line flag, then config-file entry, then the
 NBS_TAIL_EPS environment variable (tail_eps only), then built-in defaults.
-Config files hold one `key = value` per line; `#` starts a comment.
+Config files hold one `key = value` per line; `#` starts a comment.  A
+command checks only the values of the options it reads.
 """
 
 from __future__ import annotations
@@ -205,9 +206,13 @@ def _resolve(cmd: str, given: dict) -> RunConfig:
     for key in row.required:
         if cfg[key] is None:
             raise CliError(f"{cmd} requires {_OPTIONS[key].flag}")
+    # only the options the command reads are checked: a shared config file
+    # or the environment may hold values that other commands reject
+    read = {key[0] if isinstance(key, tuple) else key for key in row.keys}
     for key, opt in _OPTIONS.items():
         value = cfg[key]
-        if value is not None and opt.check is not None and not opt.check[0](value):
+        if key in read and value is not None and opt.check is not None \
+                and not opt.check[0](value):
             raise CliError(f"{opt.name} must {opt.check[1]}, got {value}")
     if cmd == "evolve" and cfg["scheme"] == "parametric" and "m" in given:
         raise CliError("the parametric scheme is seeded by vacuum; --m does not apply")
@@ -215,10 +220,11 @@ def _resolve(cmd: str, given: dict) -> RunConfig:
     if r is not None:
         cfg.update(x_min=-r, x_max=r, y_min=-r, y_max=r)
     config = RunConfig(command=cmd, **cfg)
-    try:
-        config.spec  # built here once, and checked
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    if read.issuperset(_GRID):
+        try:
+            config.spec  # built here once, and checked
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
     return config
 
 

@@ -49,8 +49,10 @@ _GRID_EPS = 1e-16
 # in slabs of at most _SLAB_ITEMS, so that their temporaries stay small
 _BLOCK_ITEMS = 1 << 17
 _SLAB_ITEMS = 1 << 13
-# the Hermite recursion divides its values down by this when they pass it
+# the Hermite recursion divides its values down by this when they pass it,
+# tested after each block of _HERMITE_BLOCK steps
 _RESCALE = 1e150
+_HERMITE_BLOCK = 16
 _LOG_RESCALE = math.log(_RESCALE)
 
 
@@ -173,13 +175,21 @@ def q_function_closed(params: NBSParams, p: PhaseSpacePoint) -> float:
 
     <beta|NB> = e^{-x/2} conj(beta)^m eta^((m+1)/2) / sqrt(m!) sum_j w^j / sqrt(j!),
     x = |beta|^2, w = conj(beta) sqrt(1-eta), so Q = (1/pi) e^P |S|^2 with
-    P = (m+1) log eta - eta x + m log x - log m! and S the ``_overlap`` of unit
-    amplitudes at conj(w): terms of moduli sqrt(p_j), p_j = Poisson(y = |w|^2).
-    |S|^2 <= 2 + 2 pi sqrt(y) (Cauchy-Schwarz), so Q is 0.0 once
-    P + log(2/pi + 2 sqrt(y)) < log 2^-1075.  Else S stops at J = ceil(y + t),
-    t^2 = 4 L (y + t/3), L = log(2 (1 + sqrt(y)) / 1e-20): by the ratio test and
-    Bernstein's Poisson tail the dropped terms sum to under 1e-20, and Q
-    (pi Q <= 1) moves by under 1e-20.  A J past 2^20 raises TruncationError.
+    P = (m+1) log eta - eta x + m log x - log m! and S = sum_j sqrt(p_j) e^{ij arg w},
+    p_j = Poisson(y = |w|^2).  |S|^2 <= 2 + 2 pi sqrt(y) (Cauchy-Schwarz), so Q
+    is 0.0 once P + log(2/pi + 2 sqrt(y)) < log 2^-1075.  Else S is summed over
+    the window j_lo <= j <= j_hi around j ~ y:
+      - j_hi = ceil(y + t), t^2 = 4 L (y + t/3), L = log(2 (1 + sqrt(y)) / 1e-20):
+        by the ratio test and Bernstein's Poisson tail the terms past it sum
+        to under 1e-20;
+      - j_lo = floor(y - t'), t'^2 = 4 y log(sqrt(y) / 1e-20): the j_lo terms
+        below it sum to at most sqrt(j_lo) e^{-t'^2/(4y)} <= 1e-20
+        (Cauchy-Schwarz and the Poisson lower tail e^{-t'^2/(2y)}).
+    So Q (pi Q <= 1) moves by under 2e-20.  The terms come from one log-domain
+    cumulative sum started at j_lo, relative to its first term, and |S|^2 is
+    their squared sum over the sum of their squares (sum_j p_j = 1 to within
+    the dropped tails): no absolute log p_j, whose rounding grows with y log y,
+    enters.  A window past 2^20 terms raises TruncationError.
     """
     eta, m = params.eta, params.m
     r = abs(p.beta)
@@ -188,14 +198,22 @@ def q_function_closed(params: NBSParams, p: PhaseSpacePoint) -> float:
     log_pref = ((m + 1) * math.log(eta) - eta * r * r + 2 * m * math.log(r)
                 - math.lgamma(m + 1))
     root_y = r * math.sqrt(1.0 - eta)
-    if log_pref + math.log(2.0 / math.pi + 2.0 * root_y) < -1075 * math.log(2.0):
+    # where |beta| overflows log_pref is nan (-inf + inf), and Q is 0.0 too
+    if not log_pref + math.log(2.0 / math.pi + 2.0 * root_y) >= -1075 * math.log(2.0):
         return 0.0
+    if root_y == 0.0:
+        return math.exp(log_pref) / math.pi
     y, big_l = root_y * root_y, math.log(2e20 * (1.0 + root_y))
-    j_top = math.ceil(y + 2.0 * big_l / 3.0 + 2.0 * math.sqrt(big_l * (big_l / 9.0 + y)))
-    if j_top > 1 << 20:
-        raise TruncationError(f"closed-form Q needs {j_top} terms at |beta| = {r:.6g}")
-    s = _overlap(np.ones(j_top + 1), p.beta * math.sqrt(1.0 - eta))
-    return math.exp(log_pref) * abs(s) ** 2 / math.pi
+    j_hi = math.ceil(y + 2.0 * big_l / 3.0 + 2.0 * math.sqrt(big_l * (big_l / 9.0 + y)))
+    j_lo = max(0, math.floor(y - 2.0 * math.sqrt(y * max(0.0, math.log(1e20 * root_y)))))
+    if j_hi - j_lo >= 1 << 20:
+        raise TruncationError(f"closed-form Q needs {j_hi - j_lo + 1} terms "
+                              f"at |beta| = {r:.6g}")
+    k = np.arange(j_hi - j_lo + 1)
+    log_u = np.cumsum(np.concatenate(([0.0], 0.5 * np.log(y / (j_lo + k[1:])))))
+    u = np.exp(log_u)
+    s = u @ np.exp(-1j * cmath.phase(p.beta) * k)
+    return math.exp(log_pref) * abs(s) ** 2 / (u @ u) / math.pi
 
 
 def _grid_start(state: FockVector, xs: np.ndarray, ys: np.ndarray, margin: float):
@@ -261,8 +279,8 @@ def _grid_q(state: FockVector, spec: GridSpec) -> np.ndarray:
     h = 2.0 * math.pi / (rho_w + float(np.abs(p0[rows]).max()) + reach)
     j_top = math.floor((rho_w + h) / h)
     nodes = h * np.arange(-j_top, j_top + 1)
-    # h pi^{-3/4} folded into psi, so Q is the squared magnitude of the sum
-    psi = (h * math.pi ** -0.75) * _wave_function(c, nodes)
+    # h pi^{-3/4} folded into psi's coefficients, so Q is the squared magnitude of the sum
+    psi = _wave_function((h * math.pi ** -0.75) * c, nodes)
     phase = np.outer(nodes, p0[rows])
     if c.dtype == complex:
         fourier = (np.exp(-1j * phase),)
@@ -315,32 +333,75 @@ def _support_extent(n_top: int) -> float:
     return rho
 
 
-def _wave_function(c: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """psi(q) = sum_n c_n phi_n(q) by the normalised Hermite recursion.
+@functools.cache
+def _hermite_table(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """alpha_0..alpha_{size-2} and d_0..d_{size-1} of ``_wave_function``.
 
-    Each point carries a log scale: phi_n = f_n exp(log_scale), with f
-    divided down whenever it passes 1e150, so phi_0 = pi^-1/4 e^{-q^2/2}
-    never underflows and high orders never overflow.  One step grows
-    max(|f|, |f_prev|) by at most sqrt2 |q| + 1, so checking every
-    eighth step keeps both below 1e150 (sqrt2 |q| + 1)^8, far from
-    overflow for any lattice here (|q| < 200 at the 4096 basis cap).
+    d_0 = d_1 = 1 and d_{n+1} = d_{n-1} sqrt((n+1)/n), by two cumulative
+    products; alpha_n = sqrt(2/(n+1)) d_{n+1}/d_n.  Both are prefixes of
+    any larger table, so one table per power of two serves every n_top.
     """
+    n = np.arange(1.0, size - 1)
+    ratio = np.sqrt((n + 1.0) / n)
+    d = np.ones(size)
+    d[2::2] = np.cumprod(ratio[0::2])
+    d[3::2] = np.cumprod(ratio[1::2])
+    alpha = np.sqrt(2.0 / np.arange(1.0, size)) * d[1:] / d[:-1]
+    return alpha, d
+
+
+def _wave_function(c: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """psi(q) = sum_n c_n phi_n(q) by a blocked, rescaled Hermite recursion.
+
+    With phi_n = f_n e^{-q^2/2} pi^{-1/4}, the normalised recursion is
+    f_{n+1} = sqrt(2/(n+1)) q f_n - sqrt(n/(n+1)) f_{n-1}.  The scaled
+    g_n = d_n f_n of ``_hermite_table`` drops the second coefficient:
+    g_{n+1} = alpha_n q g_n - g_{n-1}, alpha_n <= sqrt2, so each step is
+    two in-place array operations on one row of a (B+2) x L block, B =
+    _HERMITE_BLOCK, and each block adds (c/d) . g to the sum as one
+    matrix product (real and imaginary parts of c as two rows).
+
+    Each point carries a log scale: phi_n = g_n / d_n exp(log_scale), with
+    g divided down by 1e150 between blocks where it passes 1e150, so
+    phi_0 = pi^-1/4 e^{-q^2/2} never underflows and high orders never
+    overflow.  One step grows max(|g_n|, |g_{n-1}|) by at most
+    1 + alpha_n |q| <= 1.5 |q| + 1.  So one block grows a value of at
+    most 1e150 to at most 1e150 (1.5 |q| + 1)^16, about 1e190 at |q| < 200
+    (the lattices of the 4096 basis cap), far from overflow.  A call
+    whose growth bound prod_n (1 + alpha_n max|q|) over all its steps
+    stays below 1e150 skips the test.
+    """
+    n_top = len(c) - 1
+    alpha, d = _hermite_table(max(64, 1 << n_top.bit_length()))
+    alpha = alpha[:n_top]
+    w = c / d[: n_top + 1]
+    w = np.stack((w.real, w.imag)) if np.iscomplexobj(w) else w[None, :]
     log_scale = -0.5 * q * q - 0.25 * math.log(math.pi)
-    f_prev = np.zeros_like(q)
-    f = np.ones_like(q)
-    acc = c[0] * f
-    for n in range(len(c) - 1):
-        f_next = math.sqrt(2.0 / (n + 1)) * q * f
-        f_next -= math.sqrt(n / (n + 1.0)) * f_prev
-        f_prev, f = f, f_next
-        acc += c[n + 1] * f
-        if n % 8 == 7:
-            big = np.maximum(np.abs(f), np.abs(f_prev)) > _RESCALE
+    # g_{-1} = 0 and g_0 = 1 carried into the first block
+    size = min(_HERMITE_BLOCK, n_top)
+    g = np.zeros((size + 2, len(q)))
+    g[1] = 1.0
+    aq = np.empty((size, len(q)))
+    rows, aq_rows = list(g), list(aq)
+    acc = np.repeat(w[:, :1], len(q), axis=1)
+    q_max = float(np.abs(q).max(initial=0.0))
+    check = np.log1p(q_max * alpha).sum() >= _LOG_RESCALE
+    for lo in range(0, n_top, _HERMITE_BLOCK):
+        b = min(_HERMITE_BLOCK, n_top - lo)
+        aq[:b] = q
+        aq[:b] *= alpha[lo:lo + b, None]
+        for j in range(b):
+            np.multiply(aq_rows[j], rows[j + 1], out=rows[j + 2])
+            np.subtract(rows[j + 2], rows[j], out=rows[j + 2])
+        acc += w[:, lo + 1:lo + b + 1] @ g[2:b + 2]
+        g[:2] = g[b:b + 2]
+        if check:
+            big = np.abs(g[:2]).max(axis=0) > _RESCALE
             if big.any():
-                f[big] /= _RESCALE
-                f_prev[big] /= _RESCALE
-                acc[big] /= _RESCALE
+                g[:2, big] /= _RESCALE
+                acc[:, big] /= _RESCALE
                 log_scale[big] += _LOG_RESCALE
+    acc = acc[0] + 1j * acc[1] if len(acc) == 2 else acc[0]
     mag = np.abs(acc)
     nz = mag > 0.0
     out = np.zeros_like(acc)

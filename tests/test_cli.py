@@ -157,10 +157,30 @@ class TestConfigSources:
         ],
     )
     def test_config_file_errors_name_the_line(self, tmp_path, content, needle):
+        # wigner reads every key named here (stats reads no window)
         f = tmp_path / "bad.conf"
         f.write_text(content)
         with pytest.raises(CliError, match=needle):
-            parse("stats", "--eta", "0.5", "--m", "1", "--config", str(f))
+            parse("wigner", "--eta", "0.5", "--m", "1", "--config", str(f))
+
+    @pytest.mark.parametrize("content", ["nx = 1\n", "x_min = 7\n"])
+    def test_options_a_command_does_not_read_are_not_checked(self, tmp_path, content,
+                                                             capsys):
+        # a shared config file: stats reads no window, wigner still refuses it
+        f = tmp_path / "shared.conf"
+        f.write_text(content)
+        assert main(["stats", "--eta", "0.5", "--m", "1", "--config", str(f)]) == 0
+        out = capsys.readouterr()
+        assert json.loads(out.out)["eta"] == 0.5 and out.err == ""
+        assert main(["wigner", "--eta", "0.5", "--m", "1", "--config", str(f)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+
+    def test_verify_does_not_check_the_tolerance_variable(self, monkeypatch):
+        monkeypatch.setenv("NBS_TAIL_EPS", "0.1")
+        assert parse_config(["verify"]).command == "verify"
+        with pytest.raises(CliError, match="tail-eps must lie in"):
+            parse("stats", "--eta", "0.5", "--m", "1")
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(CliError, match="cannot read"):

@@ -14,8 +14,12 @@ from nbstates.fock import FockVector, TruncationError
 from nbstates.states import NBSParams, nbs, number_state
 from nbstates.phasespace import (
     _GRID_EPS,
+    _LOG_RESCALE,
     GridSpec,
+    _hermite_table,
+    _overlap,
     _support_extent,
+    _wave_function,
     PhaseSpaceGrid,
     PhaseSpacePoint,
     grid_evaluate,
@@ -107,10 +111,52 @@ class TestQFunction:
                 assert q_function(state, p) == 0.0
                 assert q_function_closed(params, p) == 0.0
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_points_whose_modulus_overflows_are_zero(self, m):
+        # |beta| = inf here; the closed form raised OverflowError
+        p = P(1e308, -1e308)
+        for params in (NBSParams(0.5, m), NBSParams(1.0, m)):
+            assert q_function(nbs(params), p) == 0.0
+            assert q_function_closed(params, p) == 0.0
+
     def test_closed_form_past_its_length_limit_raises(self):
-        # the series would need 4.0e6 terms here; it is refused before any array
-        with pytest.raises(TruncationError, match="closed-form Q needs"):
-            q_function_closed(NBSParams(1e-4, 0), P(2000.0, 0.0))
+        # the window around j ~ |beta|^2 would hold 3.0e6 terms here; it is
+        # refused before any array
+        with pytest.raises(TruncationError, match="closed-form Q needs 30"):
+            q_function_closed(NBSParams(1e-12, 0), P(1e5, 0.0))
+
+    @pytest.mark.parametrize("m,beta", [(1, 2000.0), (0, 2000.0), (0, 700.0 + 0.3j)])
+    def test_closed_form_far_points_against_mpmath(self, m, beta):
+        # at |beta| = 2000 the whole series would need 4.0e6 terms; its window
+        # holds 5.9e4, and the mpmath sum runs over a wider one
+        mpmath = pytest.importorskip("mpmath")
+        eta = 1e-4
+        with mpmath.workdps(40):
+            b = mpmath.mpc(beta.real, beta.imag)
+            y = abs(b) ** 2 * (1 - mpmath.mpf(eta))
+            lo = max(0, int(y - 14 * mpmath.sqrt(y)))
+            term = mpmath.exp((lo * mpmath.log(y) - y - mpmath.loggamma(lo + 1)) / 2)
+            step = mpmath.sqrt(y) * mpmath.expj(-mpmath.arg(b))
+            total = mpmath.mpc(0)
+            for j in range(lo, int(y + 14 * mpmath.sqrt(y))):
+                total += term
+                term *= step / mpmath.sqrt(j + 1)
+            log_pref = ((m + 1) * mpmath.log(eta) - eta * abs(b) ** 2
+                        + 2 * m * mpmath.log(abs(b)) - mpmath.loggamma(m + 1))
+            want = float(mpmath.exp(log_pref) * abs(total) ** 2 / mpmath.pi)
+        got = q_function_closed(NBSParams(eta, m), P.from_complex(beta))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_closed_form_window_matches_the_full_series(self):
+        # at |beta| = 700 the whole series (5.3e5 terms) still fits: the
+        # window agrees with it to the full series' own rounding, ~2e-9 here
+        eta, r = 1e-4, 700.0
+        y = r * r * (1 - eta)
+        j_top = math.ceil(y + 20.0 * math.sqrt(y))
+        s = _overlap(np.ones(j_top + 1), r * math.sqrt(1 - eta))
+        full = math.exp(math.log(eta) - eta * r * r) * abs(s) ** 2 / math.pi
+        assert q_function_closed(NBSParams(eta, 0), P(r, 0.0)) == pytest.approx(
+            full, rel=1e-8, abs=0.0)
 
     def test_closed_form_origin(self):
         assert q_function_closed(NBSParams(0.7, 0), P(0, 0)) == pytest.approx(
@@ -402,6 +448,52 @@ class TestFourierGridEngine:
     @pytest.mark.parametrize("n_top", [0, 1, 33, 592, 4096])
     def test_cached_support_extent_is_the_computed_one(self, n_top):
         assert _support_extent(n_top) == _support_extent.__wrapped__(n_top)
+
+    def test_hermite_tables_are_prefixes_of_larger_ones(self):
+        # so the table size a call picks never moves a bit of psi
+        alpha, d = _hermite_table(1 << 13)
+        small_alpha, small_d = _hermite_table(64)
+        assert np.array_equal(alpha[:63], small_alpha) and np.array_equal(d[:64], small_d)
+        assert alpha.max() == math.sqrt(2.0)
+
+    @pytest.mark.parametrize("n_top,count", [(0, 41), (1, 41), (15, 41), (16, 41), (17, 41),
+                                             (592, 41), (4095, 9)])
+    def test_wave_function_against_mpmath(self, n_top, count):
+        # the recursion runs in blocks of 16 steps: 15, 16 and 17 end inside,
+        # at and past the first; at 592 and 4095 the outer nodes pass the
+        # 1e150 rescale before the last block.  The amplitudes, with random
+        # phases, are those of the geometric state whose basis ends at n_top
+        # (tail e^-40), as the engines see them
+        mpmath = pytest.importorskip("mpmath")
+        eta = 40.0 / (n_top + 40.0)
+        theta = np.random.default_rng(n_top).uniform(-math.pi, math.pi, n_top + 1)
+        amp = np.sqrt(eta * (1.0 - eta) ** np.arange(n_top + 1)) * np.exp(1j * theta)
+        c = np.array([amp.real, amp.imag])
+        rho = _support_extent(n_top)
+        q = np.linspace(-1.0, 1.0, count) * (rho + math.pi / rho)
+        want, peak = np.zeros((2, count)), 0
+        with mpmath.workdps(40):
+            a = [mpmath.sqrt(mpmath.mpf(2) / (n + 1)) for n in range(n_top)]
+            b = [mpmath.sqrt(mpmath.mpf(n) / (n + 1)) for n in range(n_top)]
+            for i, x in enumerate(q):
+                x = mpmath.mpf(x)
+                # phi_n e^{x^2/2} is the recursion's value without its log scale
+                grow = mpmath.exp(x * x / 2)
+                phi_prev, phi = 0, mpmath.pi ** mpmath.mpf(-0.25) / grow
+                acc = [c[0, 0] * phi, c[1, 0] * phi]
+                for n in range(n_top):
+                    phi_prev, phi = phi, a[n] * x * phi - b[n] * phi_prev
+                    acc[0] += c[0, n + 1] * phi
+                    acc[1] += c[1, n + 1] * phi
+                    if n == n_top - 17:  # phi_{n_top-16}, the last before the last block
+                        peak = max(peak, abs(phi) * grow)
+                want[:, i] = [float(v) for v in acc]
+        if n_top >= 592:
+            assert peak > math.exp(_LOG_RESCALE)
+        assert np.max(np.abs(_wave_function(c[0], q) - want[0])) <= 1e-14
+        psi = _wave_function(amp, q)
+        assert np.max(np.abs(psi.real - want[0])) <= 1e-14
+        assert np.max(np.abs(psi.imag - want[1])) <= 1e-14
 
     @pytest.mark.parametrize("eta,m", [(0.1, 5), (0.5, 1)])
     @pytest.mark.parametrize("s", [-0.9, -0.5, -1e-3])

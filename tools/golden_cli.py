@@ -60,6 +60,8 @@ GOLDEN = (
     # basis, and kept whole where its band edge is not negligible
     "sdist --eta 0.1 --m 5 --s -0.9 --nx 11 --ny 11",
     "sdist --eta 0.5 --m 1 --s -0.001 --nx 21 --ny 21",
+    # the longest Hermite recursion: a state on the 4096-cap basis
+    "wigner --eta 0.01 --m 0 --nx 3 --ny 3",
     # a grid through the config file, the -o writer and the command table
     "wigner --eta 0.5 --m 1 --nx 5 --ny 5 --config /dev/null -o /dev/stdout",
     "verify",
