@@ -9,14 +9,15 @@ Subcommands
     evolve        fidelity-vs-interaction-time series for a generation scheme
     verify        built-in acceptance checks, one line each; reads only --config, -o
 
-Exit codes: 0 success, 1 invalid arguments or config, 2 numerical failure
-(truncation).  Output is deterministic: identical configuration produces
-bit-identical bytes.
+Exit codes: 0 success, 1 invalid arguments or config, or a grid too large
+to allocate, 2 numerical failure (truncation).  Output is deterministic:
+identical configuration produces bit-identical bytes.
 
 Option precedence: command-line flag, then config-file entry, then the
 NBS_TAIL_EPS environment variable (tail_eps only), then built-in defaults.
 Config files hold one `key = value` per line; `#` starts a comment.  A
-command checks only the values of the options it reads.
+command converts and checks only the options it reads, also where a flag
+overrides them; every command refuses a line without '=' or an unknown key.
 """
 
 from __future__ import annotations
@@ -115,6 +116,8 @@ _OPTIONS = {opt.key: opt for opt in (
     _Option("output", str, help="write to FILE instead of stdout", metavar="FILE",
             aliases=("-o",)),
 )}
+_FLAGS = {**_OPTIONS,  # and --config, a flag of the command rows but no option
+          "config": _Option("config", str, help="key=value config file", metavar="FILE")}
 
 RunConfig = make_dataclass(
     "RunConfig",
@@ -159,13 +162,9 @@ def _build_parser() -> _Parser:
     for command, row in _COMMANDS.items():
         cmd = sub.add_parser(command, help=row.summary)
         for key in row.keys:
-            key, help_text = key if isinstance(key, tuple) else (key, None)
-            if key == "config":
-                cmd.add_argument("--config", metavar="FILE", help="key=value config file")
-                continue
-            opt = _OPTIONS[key]
+            opt = _FLAGS[key]
             cmd.add_argument(opt.flag, *opt.aliases, type=opt.kind, choices=opt.choices,
-                             metavar=opt.metavar, help=help_text or opt.help)
+                             metavar=opt.metavar, help=row.helps.get(key, opt.help))
     return parser
 
 
@@ -173,18 +172,18 @@ def _convert(opt: _Option, raw: str, source: str):
     try:
         return opt.kind(raw)
     except ValueError:
-        raise CliError(
-            f"{source}: cannot parse {opt.key!r} value {raw!r} as {opt.kind.__name__}"
-        ) from None
+        raise CliError(f"{source}: cannot parse {opt.key!r} value {raw!r} as "
+                       f"{opt.kind.__name__}") from None
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str) -> list:
+    """The (key, text, "<path>:<line>") entries; bad lines are refused here."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path!r}: {exc}") from None
-    out = {}
+    out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -195,32 +194,31 @@ def _read_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _OPTIONS:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = _convert(_OPTIONS[key], raw.strip(), f"{path}:{lineno}")
+        out.append((key, raw.strip(), f"{path}:{lineno}"))
     return out
 
 
-def _resolve(cmd: str, given: dict) -> RunConfig:
-    """Fill the command's defaults under the given values, check them, apply --range."""
+def _resolve(cmd: str, texts: list, flags: dict) -> RunConfig:
+    """Convert every (key, text, source) entry of an option the command reads,
+    check them and the typed flags; the other options keep their defaults."""
     row = _COMMANDS[cmd]
+    given = {key: _convert(_OPTIONS[key], raw, source)
+             for key, raw, source in texts if key in row.keys}
+    given.update(flags)
     cfg = {**{key: opt.default for key, opt in _OPTIONS.items()}, **row.defaults, **given}
     for key in row.required:
         if cfg[key] is None:
             raise CliError(f"{cmd} requires {_OPTIONS[key].flag}")
-    # only the options the command reads are checked: a shared config file
-    # or the environment may hold values that other commands reject
-    read = {key[0] if isinstance(key, tuple) else key for key in row.keys}
-    for key, opt in _OPTIONS.items():
-        value = cfg[key]
-        if key in read and value is not None and opt.check is not None \
-                and not opt.check[0](value):
-            raise CliError(f"{opt.name} must {opt.check[1]}, got {value}")
+    for key, opt in _OPTIONS.items():  # the defaults pass their checks
+        if key in given and opt.check is not None and not opt.check[0](given[key]):
+            raise CliError(f"{opt.name} must {opt.check[1]}, got {given[key]}")
     if cmd == "evolve" and cfg["scheme"] == "parametric" and "m" in given:
         raise CliError("the parametric scheme is seeded by vacuum; --m does not apply")
     r = cfg["range"]
     if r is not None:
         cfg.update(x_min=-r, x_max=r, y_min=-r, y_max=r)
     config = RunConfig(command=cmd, **cfg)
-    if read.issuperset(_GRID):
+    if "nx" in row.keys:
         try:
             config.spec  # built here once, and checked
         except ValueError as exc:
@@ -231,14 +229,12 @@ def _resolve(cmd: str, given: dict) -> RunConfig:
 def parse_config(argv) -> RunConfig:
     """Merge flags, config file, environment, and defaults into a RunConfig."""
     ns = _build_parser().parse_args(list(argv))
-    given = {}
     env = os.environ.get("NBS_TAIL_EPS")
-    if env is not None:
-        given["tail_eps"] = _convert(_OPTIONS["tail_eps"], env, "environment NBS_TAIL_EPS")
+    texts = [] if env is None else [("tail_eps", env, "environment NBS_TAIL_EPS")]
     if ns.config is not None:
-        given.update(_read_config_file(ns.config))
-    given.update((k, v) for k, v in vars(ns).items() if k in _OPTIONS and v is not None)
-    return _resolve(ns.command, given)
+        texts += _read_config_file(ns.config)
+    flags = {k: v for k, v in vars(ns).items() if k in _OPTIONS and v is not None}
+    return _resolve(ns.command, texts, flags)
 
 
 def _table_text(payload: dict, columns: dict, fmt: str) -> str:
@@ -346,21 +342,21 @@ def _verify_text(config: RunConfig) -> tuple[str, int]:
 
 
 class _Command(NamedTuple):
-    """A subcommand: the options it reads in --help order (an (option, help)
-    pair gives one another help text here), the options it requires, its
-    handler, returning (text, exit code), and the defaults it changes."""
+    """A subcommand: the flags it takes in --help order, the options it
+    requires, its handler, returning (text, exit code), and the defaults
+    and help texts it changes."""
 
     summary: str
     keys: tuple
     required: tuple
     handler: Callable[[RunConfig], tuple[str, int]]
     defaults: dict = {}
+    helps: dict = {}
 
 
 _STATE = ("eta", "m")
 _GRID = ("x_min", "x_max", "y_min", "y_max", "nx", "ny", "range")
 _COMMON = ("config", "tail_eps", "format", "output")
-_EVOLVE_M = "initial number state for the intensity scheme (default 0)"
 
 _COMMANDS = {
     "stats": _Command("photon statistics report for one (eta, m)", _STATE + _COMMON, _STATE,
@@ -374,8 +370,9 @@ _COMMANDS = {
     "sdist": _Command("s-ordered distribution grid", _STATE + _GRID + _COMMON + ("s",),
                       _STATE + ("s",), functools.partial(_grid_command_text, kind="S")),
     "evolve": _Command("fidelity of the evolved state vs interaction time",
-                       _COMMON + ("chi_t", "scheme", ("m", _EVOLVE_M), "steps"), ("chi_t",),
-                       _evolve_text, defaults={"m": 0}),
+                       _COMMON + ("chi_t", "scheme", "m", "steps"), ("chi_t",), _evolve_text,
+                       defaults={"m": 0}, helps={"m": "initial number state for the "
+                                                 "intensity scheme (default 0)"}),
     "verify": _Command("run the acceptance checks and report PASS/FAIL",
                        ("config", "output"), (), _verify_text),
 }
@@ -388,6 +385,9 @@ def run(config: RunConfig) -> int:
     except TruncationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except (MemoryError, ValueError) as exc:  # such as a grid numpy cannot allocate
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 1
     if config.output is None:
         sys.stdout.write(text)
         return code

@@ -83,9 +83,18 @@ def atom_passage(
     check_domain(g_t=g_t, m_photon=m_photon)
     amps = np.array(state.amplitudes)
     n = np.arange(state.n_max + 1, dtype=float)
-    # (a1†)^m on |offset+n, n>: pure amplitude factors, no index shift
+    # (a1†)^m on |offset+n, n>: pure amplitude factors, no index shift.  Each
+    # is at most sqrt(offset_m + m_photon + n_max); where their product may
+    # pass e^300, each step divides by a power of two that brings the largest
+    # modulus into [1/2, 1), exactly, and log_scale keeps the log of the product
+    rescale = m_photon * math.log(state.offset_m + m_photon + state.n_max) > 600.0
+    log_scale = 0.0
     for j in range(m_photon):
         amps *= np.sqrt(state.offset_m + j + 1 + n)
+        if rescale:
+            exponent = math.frexp(np.abs(amps).max())[1]
+            amps *= 2.0**-exponent
+            log_scale += exponent * math.log(2.0)
     nrm2 = float(np.sum(np.abs(amps) ** 2))
     if nrm2 == 0.0:
         raise ValueError("state annihilated by the passage branch")
@@ -95,7 +104,10 @@ def atom_passage(
     else:
         tail = tail_mass_nbs(state.eta, offset, offset + state.n_max)
     ground = PairBasisVector(amps / math.sqrt(nrm2), offset, tail_bound=tail, eta=state.eta)
-    excited_weight = 1.0 / (1.0 + g_t * g_t * nrm2)
+    if log_scale:  # 1 / (1 + g_t^2 |branch|^2) from the log of the norm
+        excited_weight = math.exp(-np.logaddexp(0.0, math.log(g_t * g_t * nrm2) + 2 * log_scale))
+    else:
+        excited_weight = 1.0 / (1.0 + g_t * g_t * nrm2)
     return ground, excited_weight
 
 

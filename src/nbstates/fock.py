@@ -8,6 +8,7 @@ operation returns a new vector; nothing here mutates shared state.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import KW_ONLY, dataclass
 from operator import index
@@ -62,6 +63,21 @@ def check_domain(**values) -> None:
 
 class TruncationError(RuntimeError):
     """Raised when no truncation within the policy cap meets the target."""
+
+
+class float_range(contextlib.AbstractContextManager):
+    """A block whose OverflowError, from a closed form's float arithmetic in
+    m, is raised as TruncationError naming m: no float holds m past about
+    1.8e308, and the closed forms' powers and products overflow before that.
+    A class: a generator context would cost each closed-form call 1 us."""
+
+    def __init__(self, m: int):
+        self.m = m
+
+    def __exit__(self, kind, exc, tb):
+        if kind is OverflowError:
+            raise TruncationError(f"a closed form at m ~ 10^{math.log10(self.m):.2f} passes "
+                                  "the float range") from None
 
 
 class ConvergenceError(RuntimeError):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, TruncationError, check_domain
+from .fock import FockVector, TruncationError, check_domain, float_range
 from .states import NBSParams
 
 __all__ = [
@@ -195,8 +195,9 @@ def q_function_closed(params: NBSParams, p: PhaseSpacePoint) -> float:
     r = abs(p.beta)
     if r == 0.0:
         return eta / math.pi if m == 0 else 0.0
-    log_pref = ((m + 1) * math.log(eta) - eta * r * r + 2 * m * math.log(r)
-                - math.lgamma(m + 1))
+    with float_range(m):
+        log_pref = ((m + 1) * math.log(eta) - eta * r * r + 2 * m * math.log(r)
+                    - math.lgamma(m + 1))
     root_y = r * math.sqrt(1.0 - eta)
     # where |beta| overflows log_pref is nan (-inf + inf), and Q is 0.0 too
     if not log_pref + math.log(2.0 / math.pi + 2.0 * root_y) >= -1075 * math.log(2.0):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, TruncationError, TruncationPolicy, check_domain
+from .fock import FockVector, TruncationError, TruncationPolicy, check_domain, float_range
 from .states import choose_n_max, nbs_amplitudes
 
 __all__ = [
@@ -41,19 +41,22 @@ def generating_function(lam: float, eta: float, m: int) -> float:
         raise ValueError(
             f"generating function pole: lam*(1-eta) >= 1 at lam={lam}, eta={eta}"
         )
-    return lam**m * (eta / base) ** (m + 1)
+    with float_range(m):
+        return lam**m * (eta / base) ** (m + 1)
 
 
 def factorial_moments(eta: float, m: int) -> tuple[float, float]:
     """First two factorial moments <N> and <N(N-1)> of NB(eta, m).
 
-    Below eta ~ 1e-154, <N(N-1)> ~ (m + 2)(m + 1) / eta^2 passes the float
-    range; no finite basis holds such a state, and TruncationError says so.
+    Below eta ~ 1e-154, or above m ~ 1e154, <N(N-1)> ~ (m + 2)(m + 1) / eta^2
+    passes the float range; no finite basis holds such a state, and
+    TruncationError says so.
     """
     check_domain(eta=eta, m=m)
-    f1 = (m + 1) / eta - 1.0
-    eta2 = eta**2
-    f2 = (m + 2) * (m + 1) / eta2 - 4 * (m + 1) / eta + 2.0 if eta2 else math.inf
+    with float_range(m):
+        f1 = (m + 1) / eta - 1.0
+        eta2 = eta**2
+        f2 = (m + 2) * (m + 1) / eta2 - 4 * (m + 1) / eta + 2.0 if eta2 else math.inf
     if not math.isfinite(f2):
         raise TruncationError(f"<N(N-1)> of NB(eta={eta}, m={m}) overflows a float")
     return f1, f2
@@ -68,7 +71,8 @@ def mandel_q(eta: float, m: int) -> float:
     check_domain(eta=eta, m=m)
     if eta == 1.0 and m == 0:
         return 0.0
-    return (eta**2 - 2 * (m + 1) * eta + m + 1) / (eta * (m + 1 - eta))
+    with float_range(m):
+        return (eta**2 - 2 * (m + 1) * eta + m + 1) / (eta * (m + 1 - eta))
 
 
 def mandel_q_numeric(state: FockVector) -> float:
@@ -87,9 +91,12 @@ def sub_poissonian_threshold(m: int) -> float:
 
     Algebraically m + 1 - sqrt(m(m+1)); evaluated in the rational form
     (m+1) / (m + 1 + sqrt(m(m+1))) which loses no significance at large m.
+    Past m ~ 1e154, where m(m+1) overflows, sqrt(m(m+1)) is m + 1/2 in floats.
     """
     check_domain(m=m)
-    return (m + 1) / (m + 1 + math.sqrt(m * (m + 1.0)))
+    with float_range(m):
+        root = math.sqrt(m * (m + 1.0)) if m < 1e154 else m + 0.5
+        return (m + 1) / (m + 1 + root)
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,37 @@ class TestConfigSources:
         with pytest.raises(CliError, match="tail-eps must lie in"):
             parse("stats", "--eta", "0.5", "--m", "1")
 
+    def test_unparsable_tolerance_variable_refuses_only_its_readers(self, monkeypatch):
+        monkeypatch.setenv("NBS_TAIL_EPS", "abc")
+        assert parse_config(["verify"]).command == "verify"
+        with pytest.raises(CliError) as err:
+            parse("stats", "--eta", "0.5", "--m", "1")
+        assert str(err.value) == ("environment NBS_TAIL_EPS: cannot parse 'tail_eps' "
+                                  "value 'abc' as float")
+
+    @pytest.mark.parametrize("argv", [["squeeze-scan", "--m", "1"],
+                                      ["evolve", "--chi-t", "1"], ["verify"]])
+    def test_a_malformed_value_is_not_converted_where_it_is_not_read(self, tmp_path, argv):
+        f = tmp_path / "shared.conf"
+        f.write_text("eta = x\n")
+        cfg = parse(*argv, "--config", str(f))
+        assert cfg.command == argv[0] and cfg.eta is None
+
+    def test_a_malformed_value_is_refused_where_a_flag_overrides_it(self, tmp_path):
+        f = tmp_path / "shared.conf"
+        f.write_text("eta = x\n")
+        with pytest.raises(CliError) as err:
+            parse("stats", "--eta", "0.5", "--m", "1", "--config", str(f))
+        assert str(err.value) == f"{f}:1: cannot parse 'eta' value 'x' as float"
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_unknown_key_is_refused_by_every_command(self, tmp_path, command, capsys):
+        f = tmp_path / "typo.conf"
+        f.write_text("m = 1\netta = 0.5\n")
+        assert main([command, "--config", str(f)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {f}:2: unknown config key 'etta'\n"
+
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(CliError, match="cannot read"):
             parse("stats", "--eta", "0.5", "--m", "1",
@@ -510,6 +541,19 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.count("\n") == 1 and "n_hard_cap=16384" in out.err
+
+    def test_m_past_the_float_range_is_a_numerical_failure(self, capsys):
+        assert main(["stats", "--eta", "0.5", "--m", "1" + "0" * 160]) == 2
+        err = capsys.readouterr().err
+        assert err == "numerical failure: a closed form at m ~ 10^160.00 passes the float range\n"
+
+    # 2^55 columns need 2^58 bytes, past any address space, and 2^62 points
+    # fail numpy's size check: both are refused before anything is allocated
+    @pytest.mark.parametrize("nx", [str(2**55), str(2**62)])
+    def test_grid_numpy_cannot_hold_is_one_line(self, nx, capsys):
+        assert main(["wigner", "--eta", "0.5", "--m", "1", "--nx", nx, "--ny", "2"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
 
     def test_run_reports_argument_errors_as_1(self, capsys):
         assert main(["stats", "--eta", "nope", "--m", "1"]) == 1

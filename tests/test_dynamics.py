@@ -176,6 +176,23 @@ class TestAtomPassage:
             1.0, abs=1e-13
         )
 
+    @pytest.mark.parametrize("m_photon", [120, 170, 400])
+    def test_long_products_against_the_log_domain_branch(self, m_photon):
+        # prod_j sqrt(n + j + 1) passes the float range at 170 on this basis;
+        # the reference takes it as lgamma(n + m_photon + 1) - lgamma(n + 1)
+        base = two_mode_geometric(0.5)
+        ground, weight = atom_passage(base, 0.05, m_photon)
+        n = np.arange(base.n_max + 1)
+        logs = np.log(base.amplitudes) + 0.5 * np.array(
+            [math.lgamma(k + m_photon + 1) - math.lgamma(k + 1) for k in n])
+        ref = np.exp(logs - logs.max())
+        log_norm2 = math.log(ref @ ref) + 2 * logs.max()
+        ref /= np.linalg.norm(ref)
+        assert abs(np.vdot(ground.amplitudes, ref)) ** 2 > 1 - 1e-12
+        # 1 / (1 + g_t^2 |branch|^2): 2.7e-228 at 120, below the float range after
+        expected = math.exp(-np.logaddexp(0.0, 2 * math.log(0.05) + log_norm2))
+        assert weight == pytest.approx(expected, rel=1e-12, abs=0.0)
+
 
 class TestFidelity:
     def test_self_is_one(self):

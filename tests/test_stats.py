@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nbstates.fock import TruncationError, TruncationPolicy
+from nbstates.phasespace import PhaseSpacePoint, q_function_closed
 from nbstates.states import NBSParams, choose_n_max, geometric_state, nbs, number_state
 from nbstates.stats import (
     factorial_moments,
@@ -125,6 +126,10 @@ class TestThreshold:
         vals = [sub_poissonian_threshold(m) for m in range(1, 51)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("m", [10**153, 10**154, 10**160, 10**300])
+    def test_one_half_where_m_squared_overflows(self, m):
+        assert sub_poissonian_threshold(m) == pytest.approx(0.5, rel=1e-15)
+
     @pytest.mark.parametrize("m", [1, 2, 5, 10])
     def test_sign_change_brackets_threshold(self, m):
         thr = sub_poissonian_threshold(m)
@@ -185,3 +190,25 @@ class TestFindSignChange:
     def test_no_bracket_raises(self):
         with pytest.raises(ValueError, match="sign change"):
             find_sign_change(lambda x: 1.0, 0.0, 1.0, 1e-6)
+
+
+_CLOSED_FORMS = {
+    "factorial_moments": lambda m: factorial_moments(0.5, m),
+    "generating_function": lambda m: generating_function(0.5, 0.5, m),
+    "mandel_q": lambda m: mandel_q(0.5, m),
+    "sub_poissonian_threshold": sub_poissonian_threshold,
+    "q_function_closed": lambda m: q_function_closed(NBSParams(0.5, m),
+                                                     PhaseSpacePoint(1.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("exponent", [160, 310, 400])
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORMS))
+def test_closed_forms_past_the_float_range(name, exponent):
+    # a finite value, or TruncationError naming m; never OverflowError
+    try:
+        value = _CLOSED_FORMS[name](10**exponent)
+    except TruncationError as exc:
+        assert f"m ~ 10^{exponent}.00" in str(exc)
+    else:
+        assert exponent < 309 and np.all(np.isfinite(value))

@@ -64,6 +64,10 @@ GOLDEN = (
     "wigner --eta 0.01 --m 0 --nx 3 --ny 3",
     # a grid through the config file, the -o writer and the command table
     "wigner --eta 0.5 --m 1 --nx 5 --ny 5 --config /dev/null -o /dev/stdout",
+    # one-line refusals: an m past the float range, and a grid of 2^55 columns
+    # (2^58 bytes, past any address space), which numpy refuses before allocating
+    "stats --eta 0.5 --m 1" + "0" * 160,
+    "wigner --eta 0.5 --m 1 --nx 36028797018963968 --ny 2",
     "verify",
 )
 
