@@ -18,6 +18,11 @@ below 1e-40, and K is the smallest count whose tail
 about rho + 11 rho^(1/3) matvecs where scaled Taylor substeps take
 about 3.5 rho (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
 Real G and v stay in real arithmetic.
+
+The terms are formed in blocks of 16, as rows of one zero-padded
+18 x (n+2) array that also carries the block's two predecessors: each
+W_k takes four in-place array operations, and each block adds
+sum_k 2 J_k W_k to the result as one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ __all__ = [
 _BESSEL_START_EPS = 1e-40
 # and rescales its values to 1 before a step would take them past this
 _RESCALE = 1e250
+# Chebyshev terms that expm_apply_skew forms before adding them to its sum
+_BLOCK = 16
 
 
 def chebyshev_terms(rho: float, tol: float) -> int:
@@ -121,33 +128,58 @@ def expm_apply_skew(up: np.ndarray, v: np.ndarray, tol: float = 1e-16) -> np.nda
     level.  Where 2 sum_{k>=1} (rho/2)^k / k! is below tol (rho = 0 and
     the subnormal bands on which 2/rho overflows among them) K is 0 and
     this returns v, since then 1 - J_0(rho) <= rho^2/4 is below tol too.
+
+    The terms run in blocks of _BLOCK = 16 rows of a (B+2) x (n+2) array
+    whose first two rows carry W_{k-2} and W_{k-1} and whose zero edge
+    columns stand for the neighbours past the basis.  With the band padded
+    as below = [0, (2/rho) up] and above = [conj((2/rho) up), 0], each
+    W_k is four in-place operations on row views: below * W_{k-1}[:-2]
+    into its row, above * W_{k-1}[2:] into a scratch vector, their
+    difference, and + W_{k-2}.  Each block adds 2 J_k W_k for its rows to
+    the result as one product of the coefficient row and the block, then
+    carries its last two rows to the top.  Only the order of the sum
+    differs from adding each term as it is formed.
     """
     rho = skew_norm1(up)
     out = np.array(v, dtype=np.result_type(up, v, float))
     if rho < 1.0 and 2.0 * math.expm1(0.5 * rho) < tol:
         return out
-    coeffs = (2.0 * chebyshev_coefficients(rho, tol)).tolist()
-    band = (2.0 / rho) * up
-    band_c = np.conj(band)
-    # W_k = (2/rho) G W_{k-1} + W_{k-2} is written over W_{k-2}, so the two
-    # buffers take turns; their shifted views and the products' buffers
-    # are made once
-    a, b = np.zeros_like(out), out.copy()
-    turns = ((a, a[1:], a[:-1], b[:-1], b[1:]), (b, b[1:], b[:-1], a[:-1], a[1:]))
-    tmp = np.empty(len(band), dtype=out.dtype)
-    term = np.empty_like(out)
+    coeffs = (2.0 * chebyshev_coefficients(rho, tol)).astype(out.dtype)
+    n = len(out)
+    # (2/rho) G w = below * w[i-1] - above * w[i+1], both bands padded with
+    # a zero where w has no neighbour
+    below, above = np.zeros(n, dtype=out.dtype), np.zeros(n, dtype=out.dtype)
+    below[1:] = (2.0 / rho) * up
+    above[:-1] = np.conj(below[1:])
+    # rows 0 and 1 carry W_{k-2} and W_{k-1} (W_0 in row 1 at the start),
+    # rows 2.. hold the block's terms
+    block = np.zeros((_BLOCK + 2, n + 2), dtype=out.dtype)
+    block[1, 1:-1] = out
     out *= 0.5 * coeffs[0]
-    for k in range(1, len(coeffs)):
-        dst, dst_hi, dst_lo, src_lo, src_hi = turns[(k - 1) % 2]
-        np.multiply(band, src_lo, out=tmp)
-        np.add(dst_hi, tmp, out=dst_hi)
-        np.multiply(band_c, src_hi, out=tmp)
-        np.subtract(dst_lo, tmp, out=dst_lo)
-        if k == 1:
-            # W_1 is half of (2/rho) G W_0
-            dst *= 0.5
-        np.multiply(dst, coeffs[k], out=term)
-        np.add(out, term, out=out)
+    mid = [r[1:-1] for r in block]
+    # W_k = below * W_{k-1}[i-1] - above * W_{k-1}[i+1] + W_{k-2} into row j
+    steps = [(mid[j], block[j - 1, :-2], block[j - 1, 2:], mid[j - 2])
+             for j in range(2, _BLOCK + 2)]
+    scratch = np.empty(n, dtype=out.dtype)
+    multiply, subtract, add = np.multiply, np.subtract, np.add
+    # W_1 is half of (2/rho) G W_0, so the first block starts at its second row
+    w_1, w_lo, w_hi, _ = steps[0]
+    multiply(below, w_lo, out=w_1)
+    multiply(above, w_hi, out=scratch)
+    subtract(w_1, scratch, out=w_1)
+    w_1 *= 0.5
+    first = 1
+    k_top = len(coeffs) - 1
+    for k in range(1, k_top + 1, _BLOCK):
+        b = min(_BLOCK, k_top + 1 - k)
+        for row, w_lo, w_hi, w_back in steps[first:b]:
+            multiply(below, w_lo, out=row)
+            multiply(above, w_hi, out=scratch)
+            subtract(row, scratch, out=row)
+            add(row, w_back, out=row)
+        first = 0
+        out += coeffs[k:k + b] @ block[2:b + 2, 1:-1]
+        block[:2] = block[b:b + 2]
     return out
 
 

@@ -66,13 +66,19 @@ def mandel_q(eta: float, m: int) -> float:
     """Closed-form Mandel Q; negative means sub-Poissonian statistics.
 
     The (eta=1, m=0) point is the vacuum where Q is undefined; it is
-    reported as 0.0 and flagged by stats_report.
+    reported as 0.0 and flagged by stats_report.  Past m = 2^53, where
+    -2(m+1) eta and m + 1 cancel to the float spacing of m, the numerator
+    is taken as (m+1)(1 - 2 eta) + eta^2.
     """
     check_domain(eta=eta, m=m)
     if eta == 1.0 and m == 0:
         return 0.0
     with float_range(m):
-        return (eta**2 - 2 * (m + 1) * eta + m + 1) / (eta * (m + 1 - eta))
+        if m > 2**53:
+            top = (m + 1) * (1.0 - 2.0 * eta) + eta**2
+        else:
+            top = eta**2 - 2 * (m + 1) * eta + m + 1
+        return top / (eta * (m + 1 - eta))
 
 
 def mandel_q_numeric(state: FockVector) -> float:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -101,6 +102,16 @@ class TestMandelQ:
     def test_vacuum_raises(self):
         with pytest.raises(ValueError):
             mandel_q_numeric(number_state(0, 4))
+
+    @pytest.mark.parametrize("m", [2**53 + 1, 10**16, 10**20, 10**160],
+                             ids=["2^53+1", "1e16", "1e20", "1e160"])
+    @pytest.mark.parametrize("eta", [0.5, 0.3])
+    def test_past_two_to_the_53_against_exact(self, eta, m):
+        # at eta = 0.5 the exact Q is 1/(2m + 1) > 0, which cancelled to
+        # -2.2e-16 at m = 2^53 + 1
+        e = Fraction(eta)
+        want = (e**2 - 2 * (m + 1) * e + m + 1) / (e * (m + 1 - e))
+        assert abs(mandel_q(eta, m) - float(want)) < 1e-12 * float(want)
 
     def test_closed_vs_numeric_grid(self):
         pol = TruncationPolicy(tail_eps=1e-26)

@@ -303,6 +303,48 @@ class TestExpmCore:
         assert got.dtype == (complex if complex_band else np.float64)
         assert np.linalg.norm(got - expm(g) @ v) < 1e-12
 
+    @staticmethod
+    def _unblocked(up, v, tol=1e-16):
+        """exp(G) v with each Chebyshev term added to the sum as it is formed."""
+        rho = skew_norm1(up)
+        coeffs = 2.0 * chebyshev_coefficients(rho, tol)
+        band = (2.0 / rho) * up
+        band_c = np.conj(band)
+        older, w = np.zeros_like(v), v.copy()
+        out = 0.5 * coeffs[0] * v
+        for k in range(1, len(coeffs)):
+            term = older.copy()
+            term[1:] += band * w[:-1]
+            term[:-1] -= band_c * w[1:]
+            if k == 1:
+                term *= 0.5
+            out += coeffs[k] * term
+            older, w = w, term
+        return out
+
+    def _check_blocked(self, n, rho, k_top, complex_band):
+        up, v, g = self._band(n, rho, complex_band, seed=n)
+        assert len(chebyshev_coefficients(skew_norm1(up), 1e-16)) - 1 == k_top
+        got = expm_apply_skew(up, v)
+        assert got.dtype == (complex if complex_band else np.float64)
+        assert np.linalg.norm(got - expm(g) @ v) < 1e-12
+        assert np.linalg.norm(got - self._unblocked(up, v)) < 1e-14 * np.linalg.norm(v)
+
+    # rho inside the range that gives each realised term count K at tol
+    # 1e-16: one term, one short of a 16-term block, one block, one past
+    # it, two blocks and one past them
+    @pytest.mark.parametrize("complex_band", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    @pytest.mark.parametrize("k_top,rho", [(1, 1e-9), (15, 1.17), (16, 1.43), (17, 1.72),
+                                           (32, 8.27), (33, 8.82)])
+    def test_block_edges(self, k_top, rho, n, complex_band):
+        self._check_blocked(n, rho, k_top, complex_band)
+
+    @pytest.mark.parametrize("complex_band", [False, True])
+    def test_many_blocks_on_a_small_basis(self, complex_band):
+        # K >> n, as in the largest exponential of the state-pointwise benchmark
+        self._check_blocked(33, 863.1, 968, complex_band)
+
     @pytest.mark.parametrize("scale", [0.0, 1e-310, 5e-324])
     def test_negligible_band_returns_the_vector(self, scale):
         # on subnormal bands 2/rho overflows and rho/2 underflows; K = 0 needs

@@ -40,6 +40,8 @@ GOLDEN = (
     "evolve --chi-t 2.0 --m 2 --steps 9",
     "evolve --chi-t 2.0 --scheme parametric --format json",
     "evolve --chi-t 50 --steps 2",
+    # exponentials that end inside their first 16-term block (K = 12 and 15)
+    "evolve --chi-t 0.02 --steps 3",
     "stats --eta 0.5 --m 3000",
     "stats --eta 0.5 --m 1500 --tail-eps 1e-9",
     "qfunc --eta 0.5 --m 1 --range 1e6 --nx 3 --ny 3",
