@@ -156,10 +156,9 @@ def expm_apply_skew(up: np.ndarray, v: np.ndarray, tol: float = 1e-16) -> np.nda
     block = np.zeros((_BLOCK + 2, n + 2), dtype=out.dtype)
     block[1, 1:-1] = out
     out *= 0.5 * coeffs[0]
-    mid = [r[1:-1] for r in block]
-    # W_k = below * W_{k-1}[i-1] - above * W_{k-1}[i+1] + W_{k-2} into row j
-    steps = [(mid[j], block[j - 1, :-2], block[j - 1, 2:], mid[j - 2])
-             for j in range(2, _BLOCK + 2)]
+    mid, lo, hi = list(block[:, 1:-1]), list(block[:, :-2]), list(block[:, 2:])
+    # row j of a block takes below * W_{k-1}[i-1] - above * W_{k-1}[i+1] + W_{k-2}
+    steps = list(zip(mid[2:], lo[1:-1], hi[1:-1], mid[:-2]))
     scratch = np.empty(n, dtype=out.dtype)
     multiply, subtract, add = np.multiply, np.subtract, np.add
     # W_1 is half of (2/rho) G W_0, so the first block starts at its second row
