@@ -20,8 +20,8 @@ about 3.5 rho (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
 Real G and v stay in real arithmetic.
 
 The terms are formed in blocks of 16, as rows of one zero-padded
-18 x (n+2) array that also carries the block's two predecessors: each
-W_k takes four in-place array operations, and each block adds
+18 x (len(v) + 2) array that also carries the block's two predecessors:
+each W_k takes four in-place array operations, and each block adds
 sum_k 2 J_k W_k to the result as one matrix-vector product.
 """
 
@@ -129,8 +129,8 @@ def expm_apply_skew(up: np.ndarray, v: np.ndarray, tol: float = 1e-16) -> np.nda
     the subnormal bands on which 2/rho overflows among them) K is 0 and
     this returns v, since then 1 - J_0(rho) <= rho^2/4 is below tol too.
 
-    The terms run in blocks of _BLOCK = 16 rows of a (B+2) x (n+2) array
-    whose first two rows carry W_{k-2} and W_{k-1} and whose zero edge
+    The terms run in blocks of _BLOCK = 16 rows of an 18 x (len(v) + 2)
+    array whose first two rows carry W_{k-2} and W_{k-1} and whose zero edge
     columns stand for the neighbours past the basis.  With the band padded
     as below = [0, (2/rho) up] and above = [conj((2/rho) up), 0], each
     W_k is four in-place operations on row views: below * W_{k-1}[:-2]
