@@ -35,13 +35,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._text import csv_text, json_text
-from .dynamics import EvolutionSpec, evolve_intensity_dependent, evolve_parametric, fidelity
-from .fock import DOMAINS, TruncationError, TruncationPolicy, norm
+from .dynamics import fidelity_series
+from .fock import DOMAINS, TruncationError, TruncationPolicy
 from .phasespace import GridSpec, grid_evaluate
 from .squeeze import SCAN_POLICY, default_eta_grid, squeezing_scan
-from .states import NBSParams, nbs, two_mode_geometric
+from .states import NBSParams, nbs
 from .stats import stats_report
-from .su11 import sech_squared
 from .verify import run_all
 
 __all__ = ["CliError", "RunConfig", "main", "parse_config", "read_grid_csv", "run"]
@@ -318,20 +317,12 @@ def _grid_command_text(config: RunConfig, kind: str) -> tuple[str, int]:
 
 
 def _evolve_text(config: RunConfig) -> tuple[str, int]:
-    rows = []
-    for chi_t in np.linspace(0.0, config.chi_t, config.steps).tolist():
-        eta_target = sech_squared(chi_t)
-        if config.scheme == "intensity":
-            v = evolve_intensity_dependent(EvolutionSpec(chi_t, m=config.m, policy=config.policy))
-            target = nbs(NBSParams(eta_target, config.m), config.policy)
-        else:
-            v = evolve_parametric(chi_t, config.policy)
-            target = two_mode_geometric(eta_target, config.policy)
-        rows.append((chi_t, fidelity(v, target), norm(v)))
+    chi_ts = np.linspace(0.0, config.chi_t, config.steps)
+    series = fidelity_series(chi_ts, config.m, config.scheme, config.policy)
     payload = {"scheme": config.scheme}
     if config.scheme == "intensity":
         payload["m"] = config.m
-    columns = dict(zip(("chi_t", "fidelity", "norm"), np.array(rows).T))
+    columns = dict(zip(("chi_t", "fidelity", "norm"), (chi_ts, *series)))
     return _table_text(payload, columns, config.format), 0
 
 

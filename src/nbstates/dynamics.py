@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockVector, TruncationPolicy, check_domain, tail_mass_nbs
-from .states import PairBasisVector
-from .su11 import orbit, su11_displace
+from .fock import FockVector, TruncationPolicy, check_domain, norm, tail_mass_nbs
+from .states import NBSParams, PairBasisVector, nbs, two_mode_geometric
+from .su11 import orbit, sech_squared, su11_displace
 
 __all__ = [
     "EvolutionSpec",
@@ -32,6 +32,7 @@ __all__ = [
     "evolve_intensity_dependent",
     "evolve_parametric",
     "fidelity",
+    "fidelity_series",
 ]
 
 
@@ -123,3 +124,29 @@ def fidelity(a, b) -> float:
     top = max(a.n_max, b.n_max)
     av, bv = (np.pad(v.amplitudes, (0, top - v.n_max)) for v in (a, b))
     return float(abs(np.vdot(av, bv)) ** 2)
+
+
+def fidelity_series(chi_ts, m: int = 0, scheme: str = "intensity",
+                    policy: TruncationPolicy | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Fidelity with the family member, and norm, of a scheme at each chi_t.
+
+    "intensity" evolves |m> and compares with nbs(sech^2(chi t), m);
+    "parametric" squeezes |0,0> and compares with
+    two_mode_geometric(sech^2(chi t)).  Each sample is its own evolution.
+    """
+    if scheme not in ("intensity", "parametric"):
+        raise ValueError(f"unknown evolution scheme {scheme!r}")
+    if scheme == "parametric" and m != 0:
+        raise ValueError("the parametric scheme is seeded by vacuum; m does not apply")
+    policy = policy or TruncationPolicy()
+    rows = []
+    for chi_t in map(float, chi_ts):
+        eta = sech_squared(chi_t)
+        if scheme == "intensity":
+            v = evolve_intensity_dependent(EvolutionSpec(chi_t, m, policy))
+            target = nbs(NBSParams(eta, m), policy)
+        else:
+            v = evolve_parametric(chi_t, policy)
+            target = two_mode_geometric(eta, policy)
+        rows.append((fidelity(v, target), norm(v)))
+    return tuple(np.array(rows, dtype=float).reshape(-1, 2).T)

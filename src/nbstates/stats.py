@@ -36,6 +36,8 @@ def generating_function(lam: float, eta: float, m: int) -> float:
     stay positive, which fails once lam*(1-eta) >= 1.
     """
     check_domain(lam=lam, eta=eta, m=m)
+    if lam == 1.0:  # the sum of a distribution, not the rounded power
+        return 1.0
     base = 1.0 + lam * eta - lam
     if base <= 0.0:
         raise ValueError(

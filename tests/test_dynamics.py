@@ -13,13 +13,14 @@ from nbstates.states import (
     two_mode_geometric,
     two_mode_nbs,
 )
-from nbstates.su11 import _raising_band
+from nbstates.su11 import _raising_band, sech_squared
 from nbstates.dynamics import (
     EvolutionSpec,
     atom_passage,
     evolve_intensity_dependent,
     evolve_parametric,
     fidelity,
+    fidelity_series,
 )
 
 HALF = math.atanh(math.sqrt(0.5))  # chi_t landing on eta = 0.5
@@ -153,7 +154,7 @@ class TestAtomPassage:
         # two-mode NB(eta, m): P(more than n_max failures before m + 1
         # successes) = I_{1-eta}(n_max + 1, m + 1)
         lost = betainc(base.n_max + 1, m + 1, 1.0 - eta)
-        assert ground.tail_bound == pytest.approx(lost, rel=1e-12)
+        assert ground.tail_bound == pytest.approx(lost, rel=1e-12, abs=0)
         assert ground.eta == eta
 
     def test_tail_bound_follows_the_family_through_repeats(self):
@@ -222,3 +223,37 @@ class TestFidelity:
         a = two_mode_geometric(0.5)
         b = two_mode_geometric(0.5, None)
         assert fidelity(a, b) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestFidelitySeries:
+    CHI_TS = [0.0, 0.3, 1.3, 2.0]
+
+    @pytest.mark.parametrize("policy", [None, TruncationPolicy(tail_eps=1e-13)])
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_intensity_matches_the_per_sample_calls(self, m, policy):
+        fid, nrm = fidelity_series(self.CHI_TS, m, "intensity", policy)
+        for k, chi_t in enumerate(self.CHI_TS):
+            spec = EvolutionSpec(chi_t, m) if policy is None else EvolutionSpec(chi_t, m, policy)
+            v = evolve_intensity_dependent(spec)
+            target = nbs(NBSParams(sech_squared(chi_t), m), policy)
+            assert fid[k] == fidelity(v, target) and nrm[k] == norm(v)
+
+    @pytest.mark.parametrize("policy", [None, TruncationPolicy(tail_eps=1e-13)])
+    def test_parametric_matches_the_per_sample_calls(self, policy):
+        fid, nrm = fidelity_series(self.CHI_TS, scheme="parametric", policy=policy)
+        for k, chi_t in enumerate(self.CHI_TS):
+            v = evolve_parametric(chi_t, policy)
+            assert fid[k] == fidelity(v, two_mode_geometric(sech_squared(chi_t), policy))
+            assert nrm[k] == norm(v)
+
+    def test_one_entry_per_time(self):
+        fid, nrm = fidelity_series(np.linspace(0.0, 1.0, 3))
+        assert fid.shape == nrm.shape == (3,) and fid[0] == 1.0
+        fid, nrm = fidelity_series([])
+        assert fid.shape == nrm.shape == (0,)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="unknown evolution scheme"):
+            fidelity_series([0.5], scheme="squeezer")
+        with pytest.raises(ValueError, match="seeded by vacuum"):
+            fidelity_series([0.5], 2, "parametric")

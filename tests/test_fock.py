@@ -285,7 +285,7 @@ class TestTailMass:
         brute = p[n > n_max].sum()
         est = tail_mass_nbs(eta, m, n_max)
         assert est >= brute - 1e-15
-        assert est == pytest.approx(brute, rel=1e-10)
+        assert est == pytest.approx(brute, rel=1e-10, abs=0)
 
     def test_eta_validation(self):
         with pytest.raises(ValueError):

@@ -62,7 +62,7 @@ class TestQFunction:
             x = abs(beta) ** 2
             expect = math.exp(-x) * x**5 / (math.pi * 120)
             assert q_function(v, P.from_complex(beta)) == pytest.approx(
-                expect, rel=1e-12
+                expect, rel=1e-12, abs=0
             )
 
     def test_zero_at_origin_for_positive_m(self):

@@ -21,7 +21,13 @@ from nbstates.stats import (
 class TestGeneratingFunction:
     def test_normalization_at_one(self):
         for eta, m in [(0.3, 0), (0.5, 2), (0.9, 7), (1.0, 4)]:
-            assert generating_function(1.0, eta, m) == pytest.approx(1.0)
+            assert generating_function(1.0, eta, m) == 1.0
+
+    @pytest.mark.parametrize("m", [1, 24, 3000, 10**13, 10**16])
+    @pytest.mark.parametrize("eta", [0.01, 0.05, 0.3, 0.9])
+    def test_exactly_one_where_the_power_amplifies_rounding(self, eta, m):
+        # the closed form gives 1 + 6.7e-13 at (0.9, 3000) and 9.21 at (0.9, 1e16)
+        assert generating_function(1.0, eta, m) == 1.0
 
     def test_value_m0(self):
         assert generating_function(0.5, 0.5, 0) == pytest.approx(2 / 3)
@@ -128,10 +134,10 @@ class TestThreshold:
         assert sub_poissonian_threshold(0) == 1.0
 
     def test_m1(self):
-        assert sub_poissonian_threshold(1) == pytest.approx(2 - math.sqrt(2), rel=1e-14)
+        assert sub_poissonian_threshold(1) == pytest.approx(2 - math.sqrt(2), rel=1e-14, abs=0)
 
     def test_m3(self):
-        assert sub_poissonian_threshold(3) == pytest.approx(4 - math.sqrt(12), rel=1e-12)
+        assert sub_poissonian_threshold(3) == pytest.approx(4 - math.sqrt(12), rel=1e-12, abs=0)
 
     def test_monotone_decreasing(self):
         vals = [sub_poissonian_threshold(m) for m in range(1, 51)]
@@ -139,7 +145,7 @@ class TestThreshold:
 
     @pytest.mark.parametrize("m", [10**153, 10**154, 10**160, 10**300])
     def test_one_half_where_m_squared_overflows(self, m):
-        assert sub_poissonian_threshold(m) == pytest.approx(0.5, rel=1e-15)
+        assert sub_poissonian_threshold(m) == pytest.approx(0.5, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 10])
     def test_sign_change_brackets_threshold(self, m):

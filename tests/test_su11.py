@@ -403,7 +403,7 @@ class TestSechSquared:
     @pytest.mark.parametrize("xi", [19.5, 50.0, 300.0])
     def test_keeps_precision_where_tanh_cancels(self, xi):
         # 1 - tanh^2 is exactly 0 here; sech^2 = 4 e^{-2 xi} to double precision
-        assert sech_squared(xi) == pytest.approx(4.0 * math.exp(-2.0 * xi), rel=1e-14)
+        assert sech_squared(xi) == pytest.approx(4.0 * math.exp(-2.0 * xi), rel=1e-14, abs=0)
 
     def test_underflow_raises(self):
         with pytest.raises(TruncationError, match="underflows"):

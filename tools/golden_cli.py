@@ -42,8 +42,12 @@ GOLDEN = (
     "evolve --chi-t 50 --steps 2",
     # exponentials that end inside their first 16-term block (K = 12 and 15)
     "evolve --chi-t 0.02 --steps 3",
+    # the intensity scheme at verify's m = 0, through the JSON writer
+    "evolve --chi-t 1.3 --m 0 --steps 4 --format json",
     "stats --eta 0.5 --m 3000",
     "stats --eta 0.5 --m 1500 --tail-eps 1e-9",
+    # G(1) = 1 exactly, where the closed form's power rounds to 1 + 6.7e-13
+    "stats --eta 0.9 --m 3000",
     "qfunc --eta 0.5 --m 1 --range 1e6 --nx 3 --ny 3",
     # the CSV writer's rarer layouts: a 3-digit exponent, |x| below 1e-270, |x| >= 1e17
     "wigner --eta 0.5 --m 1 --x-min=-1e-300 --x-max=1e-300 --y-min=-1e-200 --y-max=1e-200"
